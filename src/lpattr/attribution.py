@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, RankDeficiencyError
+from .seeding import rng
 from .serialize import digest_of, format_float
 
 METHOD_TAGS = ("integrated-gradients", "saliency", "feature-permutation", "lime")
@@ -111,8 +112,7 @@ def saliency(model, x) -> AttributionVector:
 
 
 def _fp_offsets(n: int, cfg: PerturbConfig) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(0,))))
-    return rng.uniform(-cfg.radius, cfg.radius, size=(cfg.repeats, n))
+    return rng(cfg.seed, 0).uniform(-cfg.radius, cfg.radius, size=(cfg.repeats, n))
 
 
 def feature_permutation(model, x, cfg: PerturbConfig = PerturbConfig(), deltas=None) -> AttributionVector:
@@ -174,8 +174,7 @@ def lime(model, x, cfg: PerturbConfig = PerturbConfig(), offsets=None) -> Attrib
     if offsets is None:
         if cfg.samples < n:
             raise ConfigurationError("need at least n samples for the local fit")
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(1,))))
-        offsets = rng.uniform(-cfg.radius, cfg.radius, size=(cfg.samples, n))
+        offsets = rng(cfg.seed, 1).uniform(-cfg.radius, cfg.radius, size=(cfg.samples, n))
     else:
         offsets = np.asarray(offsets, dtype=float)
         if offsets.ndim != 2 or offsets.shape[1] != n:

@@ -133,18 +133,19 @@ def _cmd_train(args) -> None:
     path = os.path.join(_outdir(args), f"{stem}.model")
     save_model(model, path)
     summary = model.training_summary
-    line = f"wrote {path} (val loss {summary['val_loss']:.6g}"
+    figures = []  # absent when the validation split is empty
+    if "val_loss" in summary:
+        figures.append(f"val loss {summary['val_loss']:.6g}")
     if "val_accuracy" in summary:
-        line += f", val accuracy {summary['val_accuracy']:.4f}"
-    print(line + ")")
+        figures.append(f"val accuracy {summary['val_accuracy']:.4f}")
+    print(f"wrote {path}" + (f" ({', '.join(figures)})" if figures else ""))
 
 
 def _cmd_attribute(args) -> None:
     model = load_model(args.model)
     x = _floats(args.point)
-    ig_cfg = IGConfig(steps=args.ig_steps)
-    if args.baseline is not None:
-        ig_cfg = IGConfig(steps=args.ig_steps, baseline=_floats(args.baseline))
+    baseline = None if args.baseline is None else _floats(args.baseline)
+    ig_cfg = IGConfig(steps=args.ig_steps, baseline=baseline)
     vec = attribute(model, x, args.method, ig_cfg=ig_cfg, perturb_cfg=_perturb_config(args, args.seed))
     n = model.input_dim
     header = ",".join(
@@ -170,7 +171,10 @@ def _cmd_grid(args) -> None:
         fixed = model.bbox.mean(axis=1)
     x_range = _pair(args.x_range, "--x-range") if args.x_range else tuple(model.bbox[args.dim_x])
     y_range = _pair(args.y_range, "--y-range") if args.y_range else tuple(model.bbox[args.dim_y])
-    w, h = (int(v) for v in _floats(args.resolution))
+    w, h = _pair(args.resolution, "--resolution")
+    if not (w.is_integer() and h.is_integer()):
+        raise ValidationError(f"--resolution expects two integers, got {args.resolution!r}")
+    w, h = int(w), int(h)
     spec = GridSpec(
         dim_x=args.dim_x,
         dim_y=args.dim_y,

@@ -18,6 +18,7 @@ import numpy as np
 from .encodings import Encoding, make_encoding
 from .errors import CoverageError, ValidationError
 from .lp import LinearProgram, enumerate_vertices, feasible_mask, vertex_bbox
+from .seeding import rng
 from .serialize import format_float
 
 DRAW_CHUNK = 8192
@@ -69,8 +70,7 @@ def _resolve_bbox(lp: LinearProgram, bbox) -> np.ndarray:
 
 
 def _split_indices(count: int, seed: int):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
-    perm = rng.permutation(count)
+    perm = rng(seed, 1).permutation(count)
     n_val = int(count * VAL_FRACTION)
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
@@ -87,7 +87,7 @@ def generate_dataset(lp: LinearProgram, encoding: Encoding, count: int, bbox=Non
     want_feas = (count + 1) // 2
     want_infeas = count // 2
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    gen = rng(seed, 0)
     draws = []
     classes = []
     n_feas = 0
@@ -95,7 +95,7 @@ def generate_dataset(lp: LinearProgram, encoding: Encoding, count: int, bbox=Non
     drawn = 0
     budget = DRAW_BUDGET_FACTOR * max(count, 1)
     while count > 0 and (n_feas < want_feas or n_infeas < want_infeas) and drawn < budget:
-        chunk = rng.uniform(bbox[:, 0], bbox[:, 1], size=(DRAW_CHUNK, lp.n))
+        chunk = gen.uniform(bbox[:, 0], bbox[:, 1], size=(DRAW_CHUNK, lp.n))
         mask = feasible_mask(lp, chunk)
         draws.append(chunk)
         classes.append(mask)

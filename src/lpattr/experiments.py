@@ -23,25 +23,10 @@ from .encodings import make_encoding
 from .errors import ConfigurationError, InconclusiveError, ValidationError
 from .lp import slack_values
 from .nn import ModelConfig, accuracy, train_model
+from .seeding import rng, sample_box, sub_seed
 
 SMALL_ATTRIBUTION = 0.01  # below this magnitude the sign is not trusted
 DEGENERATE_GRADIENT = 1e-8
-
-
-def _rng(seed: int, key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
-
-
-def _sample_box(bbox: np.ndarray, count: int, rng: np.random.Generator, shrink: float = 0.0) -> np.ndarray:
-    lo, hi = bbox[:, 0].copy(), bbox[:, 1].copy()
-    if shrink:
-        pad = shrink * (hi - lo)
-        lo, hi = lo + pad, hi - pad
-    return rng.uniform(lo, hi, size=(count, bbox.shape[0]))
-
-
-def _point_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
 def experiment_lime_vs_saliency(
@@ -76,7 +61,7 @@ def experiment_lime_vs_saliency(
         raise ConfigurationError("radii must be strictly descending")
     if points < 10:
         raise ConfigurationError("need at least 10 points")
-    pts = _sample_box(model.bbox, points, _rng(seed, 0), shrink=0.1)
+    pts = sample_box(model.bbox, points, rng(seed, 0), shrink=0.1)
     grads = model.input_gradient_many(pts)
     grad_norms = np.linalg.norm(grads, axis=1)
     keep = grad_norms > DEGENERATE_GRADIENT
@@ -92,7 +77,7 @@ def experiment_lime_vs_saliency(
                 radius=radius,
                 samples=samples,
                 ridge_lambda=ridge_lambda,
-                seed=_point_seed(seed, 1, ri, int(pi)),
+                seed=sub_seed(seed, 1, ri, int(pi)),
             )
             w = lime(model, pts[pi], cfg).values
             wn = np.linalg.norm(w)
@@ -137,17 +122,17 @@ def experiment_directed_fp(model, radius: float = 0.1, points: int = 100, seed: 
     if points < 1:
         raise ConfigurationError("need at least 1 point")
     n = model.input_dim
-    pts = _sample_box(model.bbox, points, _rng(seed, 0), shrink=0.1)
+    pts = sample_box(model.bbox, points, rng(seed, 0), shrink=0.1)
     eye = np.eye(n)
     offsets = np.concatenate([radius * eye, -radius * eye], axis=0)
+    lsq_cfg = PerturbConfig(radius=radius, ridge_lambda=0.0, seed=0)
     deviations = np.zeros(points)
     control = np.zeros(points)
     for i in range(points):
         directed = directed_feature_permutation(model, pts[i], radius).values
-        cfg = PerturbConfig(radius=radius, ridge_lambda=0.0, seed=0)
-        fitted = lime(model, pts[i], cfg, offsets=offsets).values
+        fitted = lime(model, pts[i], lsq_cfg, offsets=offsets).values
         deviations[i] = np.max(np.abs(directed - fitted))
-        fp_cfg = PerturbConfig(radius=radius, seed=_point_seed(seed, 1, i))
+        fp_cfg = PerturbConfig(radius=radius, seed=sub_seed(seed, 1, i))
         undirected = feature_permutation(model, pts[i], fp_cfg).values
         control[i] = np.max(np.abs(undirected - fitted))
     return {
@@ -184,7 +169,7 @@ def _instance_entry(lp, model, x: np.ndarray, label: str, seed: int) -> dict:
     slacks = slack_values(lp, x[None, :])[0]
     methods = {}
     for mi, tag in enumerate(METHOD_TAGS):
-        cfg = PerturbConfig(seed=_point_seed(seed, 7, mi))
+        cfg = PerturbConfig(seed=sub_seed(seed, 7, mi))
         vec = attribute(model, x, tag, perturb_cfg=cfg)
         methods[tag] = {
             "values": [float(v) for v in vec.values],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lp import LinearProgram
+from .seeding import rng
 
 
 def lp_box() -> LinearProgram:
@@ -43,10 +44,10 @@ def lp_5d() -> LinearProgram:
 def random_positive_lp(n: int, m: int, seed: int) -> LinearProgram:
     """A random program with strictly positive c, A, b (so the origin is an
     interior-boundary vertex and the polytope is bounded)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    A = rng.uniform(0.2, 1.5, size=(m, n))
-    b = rng.uniform(1.0, 4.0, size=m)
-    c = rng.uniform(0.5, 2.0, size=n)
+    gen = rng(seed)
+    A = gen.uniform(0.2, 1.5, size=(m, n))
+    b = gen.uniform(1.0, 4.0, size=m)
+    c = gen.uniform(0.5, 2.0, size=n)
     return LinearProgram(c=c, A=A, b=b)
 
 

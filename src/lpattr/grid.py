@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .attribution import IGConfig, PerturbConfig, attribute
 from .errors import ConfigurationError, ValidationError
 from .render import render_heatmap
+from .seeding import sub_seed
 from .serialize import digest_of, format_float
 
 DEFAULT_RESOLUTION = (100, 73)
@@ -91,10 +92,6 @@ class GridResult:
         return [self.channels[f"a{i + 1}"] for i in range(self.spec.n)]
 
 
-def _cell_seed(base_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(base_seed, spawn_key=(index,)).generate_state(1)[0])
-
-
 def grid_attribution(
     model,
     method: str,
@@ -118,15 +115,7 @@ def grid_attribution(
         values = model.input_gradient_many(pts)
     else:
         for idx in range(w * h):
-            cfg = base_perturb
-            if needs_seed:
-                cfg = PerturbConfig(
-                    radius=base_perturb.radius,
-                    samples=base_perturb.samples,
-                    repeats=base_perturb.repeats,
-                    ridge_lambda=base_perturb.ridge_lambda,
-                    seed=_cell_seed(seed, idx),
-                )
+            cfg = replace(base_perturb, seed=sub_seed(seed, idx)) if needs_seed else base_perturb
             values[idx] = attribute(model, pts[idx], method, ig_cfg=ig_cfg, perturb_cfg=cfg).values
     channels = {}
     for i in range(spec.n):

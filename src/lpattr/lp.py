@@ -232,16 +232,11 @@ def solve_on_vertices(lp: LinearProgram, direction: str = "minimize"):
     """
     if direction not in ("minimize", "maximize"):
         raise ValidationError("direction must be 'minimize' or 'maximize'")
-    vs = enumerate_vertices(lp)
-    if len(vs) == 0:
-        raise EmptyVertexSetError("cannot optimize over an empty vertex set")
-    values = vs.vertices @ lp.c
-    best = None
-    best_val = None
-    for v, val in zip(vs.vertices, values):  # vertices are lexicographically sorted
-        if best is None or (val < best_val if direction == "minimize" else val > best_val):
-            best, best_val = v, val
-    return best.copy(), float(best_val)
+    vertices = enumerate_vertices(lp).vertices
+    values = vertices @ lp.c
+    # vertices are lexicographically sorted and argmin/argmax take the first index
+    best = int(np.argmin(values) if direction == "minimize" else np.argmax(values))
+    return vertices[best].copy(), float(values[best])
 
 
 def vertex_bbox(lp: LinearProgram, margin: float = 1.5) -> np.ndarray:

@@ -14,12 +14,13 @@ Design points that the rest of the package leans on:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError, TrainingDivergenceError, ValidationError
+from .seeding import rng
 from .serialize import floats_to_lists
 
 ACTIVATIONS = ("smooth-softplus", "tanh", "piecewise-linear")
@@ -56,19 +57,6 @@ class ModelConfig:
         if not 0 <= self.momentum < 1:
             raise ConfigurationError("momentum must be in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "hidden_width": self.hidden_width,
-            "activation": self.activation,
-            "loss": self.loss,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -95,8 +83,59 @@ def _act_deriv(kind: str, z: np.ndarray) -> np.ndarray:
     return (z > 0).astype(float)
 
 
+def _forward(weights, biases, activation: str, h: np.ndarray):
+    """Yield (pre-activation, output) per layer; the last layer is linear."""
+    last = len(weights) - 1
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        z = h @ W.T + b
+        h = z if i == last else _act(activation, z)
+        yield z, h
+
+
+def _backward(weights, activation: str, pre: list[np.ndarray], g: np.ndarray):
+    """Given g = d(out)/d(last pre-activation), yield d(out)/d(pre-activation)
+    per layer, last layer first, then d(out)/d(input).
+
+    Each layer's weights are read before its gradient is yielded, so a caller
+    may replace ``weights[i]`` once it has seen layer i.
+    """
+    last = len(weights) - 1
+    for i in range(last, -1, -1):
+        if i != last:
+            g = g * _act_deriv(activation, pre[i])
+        W = weights[i]
+        yield g
+        g = g @ W
+    yield g
+
+
+def _final(items):
+    """Last item of an iterator, holding no earlier one."""
+    for item in items:
+        pass
+    return item
+
+
+class _PointQueries:
+    """Point checks and single-point wrappers shared by both model kinds."""
+
+    def _check_points(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X[None, :]
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise ValidationError(f"points must have shape (N, {self.input_dim}), got {X.shape}")
+        return X
+
+    def predict(self, x) -> float:
+        return float(self.predict_many(x)[0])
+
+    def input_gradient(self, x) -> np.ndarray:
+        return self.input_gradient_many(x)[0]
+
+
 @dataclass
-class Model:
+class Model(_PointQueries):
     """Trained network. ``bbox`` holds the normalization box; weights map the
     normalized input through depth-1 hidden layers to one output."""
 
@@ -111,59 +150,30 @@ class Model:
         lo, hi = self.bbox[:, 0], self.bbox[:, 1]
         return (X - lo) / (hi - lo)
 
-    def _check_points(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise ValidationError(f"points must have shape (N, {self.input_dim}), got {X.shape}")
-        return X
-
     def predict_many(self, X) -> np.ndarray:
         X = self._check_points(X)
-        h = self._normalize(X)
-        last = len(self.weights) - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W.T + b
-            h = z if i == last else _act(self.config.activation, z)
+        _, h = _final(_forward(self.weights, self.biases, self.config.activation, self._normalize(X)))
         out = h[:, 0]
         if self.config.loss == "logistic":
             out = _sigmoid(out)
         return out
 
-    def predict(self, x) -> float:
-        return float(self.predict_many(x)[0])
-
     def input_gradient_many(self, X) -> np.ndarray:
         """dF/dx rows, in original (unnormalized) coordinates."""
         X = self._check_points(X)
-        Z = self._normalize(X)
         act = self.config.activation
-        pre = []
-        h = Z
-        last = len(self.weights) - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W.T + b
-            pre.append(z)
-            h = z if i == last else _act(act, z)
-        # reverse pass: d(output)/d(layer input)
+        pre = [z for z, _ in _forward(self.weights, self.biases, act, self._normalize(X))]
         g = np.ones((X.shape[0], 1))
         if self.config.loss == "logistic":
-            s = _sigmoid(pre[last][:, 0])
+            s = _sigmoid(pre[-1][:, 0])
             g = (s * (1.0 - s))[:, None]
-        for i in range(last, -1, -1):
-            if i != last:
-                g = g * _act_deriv(act, pre[i])
-            g = g @ self.weights[i]
+        g = _final(_backward(self.weights, act, pre, g))
         lo, hi = self.bbox[:, 0], self.bbox[:, 1]
         return g / (hi - lo)
 
-    def input_gradient(self, x) -> np.ndarray:
-        return self.input_gradient_many(x)[0]
-
 
 @dataclass
-class AnalyticModel:
+class AnalyticModel(_PointQueries):
     """Closed-form stand-in with the same query surface as Model; used to
     pin attribution semantics against hand-computable functions."""
 
@@ -179,30 +189,18 @@ class AnalyticModel:
             self.bbox = np.asarray(self.bbox, dtype=float)
 
     def predict_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        return np.asarray(self.fn(X), dtype=float)
-
-    def predict(self, x) -> float:
-        return float(self.predict_many(x)[0])
+        return np.asarray(self.fn(self._check_points(X)), dtype=float)
 
     def input_gradient_many(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        return np.asarray(self.grad(X), dtype=float)
-
-    def input_gradient(self, x) -> np.ndarray:
-        return self.input_gradient_many(x)[0]
+        return np.asarray(self.grad(self._check_points(X)), dtype=float)
 
 
-def _init_layers(input_dim: int, config: ModelConfig, rng: np.random.Generator):
+def _init_layers(input_dim: int, config: ModelConfig, gen: np.random.Generator):
     sizes = [input_dim] + [config.hidden_width] * (config.depth - 1) + [1]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        weights.append(gen.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
     return weights, biases
 
@@ -219,14 +217,12 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
     if config.loss == "logistic" and not np.isin(y, (0.0, 1.0)).all():
         raise ConfigurationError("logistic loss requires {0,1} targets")
 
-    init_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0,))))
-    shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(1,))))
-    weights, biases = _init_layers(X.shape[1], config, init_rng)
+    shuffle_rng = rng(config.seed, 1)
+    weights, biases = _init_layers(X.shape[1], config, rng(config.seed, 0))
     model = Model(weights=weights, biases=biases, config=config, input_dim=X.shape[1], bbox=bbox)
 
     Z = model._normalize(X)
     act = config.activation
-    last = config.depth - 1
     vel_W = [np.zeros_like(W) for W in weights]
     vel_b = [np.zeros_like(b) for b in biases]
     n_samples = X.shape[0]
@@ -238,15 +234,9 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
         for start in range(0, n_samples, config.batch_size):
             idx = order[start : start + config.batch_size]
             zb, yb = Z[idx], y[idx]
-            pre = []
-            acts = [zb]
-            h = zb
-            for i, (W, b) in enumerate(zip(weights, biases)):
-                s = h @ W.T + b
-                pre.append(s)
-                h = s if i == last else _act(act, s)
-                acts.append(h)
-            out = h[:, 0]
+            layers = list(_forward(weights, biases, act, zb))
+            inputs = [zb] + [h for _, h in layers[:-1]]
+            out = layers[-1][1][:, 0]
             k = len(idx)
             if config.loss == "logistic":
                 p = _sigmoid(out)
@@ -261,15 +251,10 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
                     "loss became non-finite", last_state={"weights": weights, "biases": biases}
                 )
             epoch_loss += loss * k
-            g = delta
-            for i in range(last, -1, -1):
-                if i != last:
-                    g = g * _act_deriv(act, pre[i])
-                grad_W = g.T @ acts[i]
-                grad_b = g.sum(axis=0)
-                g = g @ weights[i]
-                vel_W[i] = config.momentum * vel_W[i] - config.learning_rate * grad_W
-                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * grad_b
+            pre = [z for z, _ in layers]
+            for i, g in zip(range(len(weights) - 1, -1, -1), _backward(weights, act, pre, delta)):
+                vel_W[i] = config.momentum * vel_W[i] - config.learning_rate * (g.T @ inputs[i])
+                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * g.sum(axis=0)
                 weights[i] = weights[i] + vel_W[i]
                 biases[i] = biases[i] + vel_b[i]
         train_loss = epoch_loss / n_samples
@@ -315,7 +300,7 @@ def save_model(model: Model, path) -> None:
         arrays.append((f"b{i}", b))
     arrays.append(("bbox", model.bbox))
     header = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "input_dim": model.input_dim,
         "training_summary": floats_to_lists(model.training_summary),
         "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import PerturbConfig, feature_permutation, lime, saliency
+from .attribution import PerturbConfig, attribute
 from .encodings import ENCODING_KINDS, Encoding, make_encoding
 from .errors import ConfigurationError, InconclusiveError, ValidationError
 from .lp import FEAS_TOL, LinearProgram, enumerate_vertices, min_slack_many, vertex_bbox
+from .seeding import rng, sample_box, sub_seed
 
 # Expected property table, keyed by encoding kind. The vertex-distance row
 # assumes the origin (an off-boundary vertex for all-positive programs) is
@@ -93,20 +94,11 @@ class PropertyReport:
         return {name: getattr(self, name) for name in PROPERTY_NAMES}
 
 
-def _rng(seed: int, key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
-
-
-def _sample_box(bbox: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(bbox[:, 0], bbox[:, 1], size=(count, bbox.shape[0]))
-
-
 def find_boundary_points(lp: LinearProgram, bbox, count: int, seed: int, max_iters: int = 100) -> np.ndarray:
     """Points with min_slack = 0 (to BOUNDARY_SLACK_TOL), by sign bisection
     along segments between sampled points of opposite slack sign."""
     bbox = np.asarray(bbox, dtype=float)
-    rng = _rng(seed, 90)
-    X = _sample_box(bbox, max(count * 20, 2000), rng)
+    X = sample_box(bbox, max(count * 20, 2000), rng(seed, 90))
     ms = min_slack_many(lp, X)
     pos = X[ms > 1e-6]
     neg = X[ms < -1e-6]
@@ -139,12 +131,12 @@ def _check_continuity(enc: Encoding, bbox, boundary: np.ndarray, count: int, see
     """Jump statistic J(h) = max |phi(x + h u) - phi(x)| over random pairs
     and boundary-straddling pairs; pass iff J shrinks with h like a
     Lipschitz function (J(h) <= 10 h Lhat, Lhat = J(h_max)/h_max)."""
-    rng = _rng(seed, 1)
+    gen = rng(seed, 1)
     n = bbox.shape[0]
-    base = _sample_box(bbox, count, rng)
-    dirs = rng.normal(size=(count, n))
+    base = sample_box(bbox, count, gen)
+    dirs = gen.normal(size=(count, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    bdirs = rng.normal(size=(len(boundary), n))
+    bdirs = gen.normal(size=(len(boundary), n))
     bdirs /= np.linalg.norm(bdirs, axis=1, keepdims=True)
     jumps = {}
     for h in CONTINUITY_SCALES:
@@ -257,7 +249,7 @@ def check_encoding_properties(
         raise ValidationError("sample_count must be >= 1000")
     enc = make_encoding(lp, kind, excluded_vertices=excluded_vertices)
     bbox = vertex_bbox(lp) if bbox is None else np.asarray(bbox, dtype=float)
-    samples = _sample_box(bbox, sample_count, _rng(seed, 0))
+    samples = sample_box(bbox, sample_count, rng(seed, 0))
     slacks = min_slack_many(lp, samples)
     boundary = find_boundary_points(lp, bbox, max(MIN_BOUNDARY_POINTS * 4, sample_count // 8), seed)
     corners = np.stack(np.meshgrid(*bbox, indexing="ij"), axis=-1).reshape(-1, lp.n)
@@ -318,9 +310,8 @@ def build_monotone_harness(n: int = 2, seed: int = 0, samples: int = 6000, confi
     unit box; every true partial derivative is +1."""
     from .nn import ModelConfig, fit_arrays
 
-    rng = _rng(seed, 50)
     bbox = np.column_stack([np.zeros(n), np.ones(n)])
-    X = _sample_box(bbox, samples, rng)
+    X = sample_box(bbox, samples, rng(seed, 50))
     y = X.sum(axis=1)
     cfg = config if config is not None else ModelConfig(seed=seed)
     return fit_arrays(X, y, cfg, bbox)
@@ -357,26 +348,16 @@ def directedness_test(
     signs = np.ones(n) if true_partial_signs is None else np.asarray(true_partial_signs, dtype=float)
     if signs.shape != (n,) or (signs == 0).any():
         raise ValidationError("true_partial_signs must be n nonzero values")
-    bbox = np.asarray(model.bbox, dtype=float)
+    if method_tag not in ("saliency", "lime", "feature-permutation"):
+        raise ConfigurationError(
+            f"directedness is tested empirically for saliency, lime, feature-permutation; got {method_tag!r}"
+        )
     # keep perturbations inside the trained region
-    span = bbox[:, 1] - bbox[:, 0]
-    inner = np.column_stack([bbox[:, 0] + 0.1 * span, bbox[:, 1] - 0.1 * span])
-    X = _sample_box(inner, sample_count, _rng(seed, 40))
-
-    rows = []
-    for i, x in enumerate(X):
-        cfg = PerturbConfig(radius=radius, seed=int(np.random.SeedSequence(seed, spawn_key=(41, i)).generate_state(1)[0]))
-        if method_tag == "saliency":
-            rows.append(saliency(model, x).values)
-        elif method_tag == "lime":
-            rows.append(lime(model, x, cfg).values)
-        elif method_tag == "feature-permutation":
-            rows.append(feature_permutation(model, x, cfg).values)
-        else:
-            raise ConfigurationError(
-                f"directedness is tested empirically for saliency, lime, feature-permutation; got {method_tag!r}"
-            )
-    A = np.array(rows)
+    X = sample_box(np.asarray(model.bbox, dtype=float), sample_count, rng(seed, 40), shrink=0.1)
+    A = np.array([
+        attribute(model, x, method_tag, perturb_cfg=PerturbConfig(radius=radius, seed=sub_seed(seed, 41, i))).values
+        for i, x in enumerate(X)
+    ])
     oriented = A * signs
     agreement = float((oriented > 0).mean())
     flat = oriented.reshape(-1)

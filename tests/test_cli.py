@@ -134,6 +134,27 @@ class TestPipeline:
         r = run_cli(["--version"], workdir)
         assert r.returncode == 0 and r.stdout.startswith("lpattr ")
 
+    def test_train_with_empty_validation_split(self, tmp_path):
+        # below 10 rows the validation split is empty, so there are no val figures
+        r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "8", "--out", "files"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(["train", "--data", "files/data-feasibility.csv", "--epochs", "1", "--out", "files"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "val loss" not in r.stdout
+        assert (tmp_path / "files" / "data-feasibility-model.model").exists()
+
+
+def save_flat_model(path):
+    cfg = ModelConfig(depth=2, hidden_width=4)
+    model = Model(
+        weights=[np.zeros((4, 2)), np.zeros((1, 4))],
+        biases=[np.zeros(4), np.zeros(1)],
+        config=cfg,
+        input_dim=2,
+        bbox=np.array([[0.0, 1.0], [0.0, 1.0]]),
+    )
+    save_model(model, path)
+
 
 class TestExitCodes:
     def test_validation_failure_exits_2(self, tmp_path):
@@ -152,15 +173,7 @@ class TestExitCodes:
         assert r.returncode == 3
 
     def test_inconclusive_exits_4(self, tmp_path):
-        cfg = ModelConfig(depth=2, hidden_width=4)
-        model = Model(
-            weights=[np.zeros((4, 2)), np.zeros((1, 4))],
-            biases=[np.zeros(4), np.zeros(1)],
-            config=cfg,
-            input_dim=2,
-            bbox=np.array([[0.0, 1.0], [0.0, 1.0]]),
-        )
-        save_model(model, tmp_path / "flat.model")
+        save_flat_model(tmp_path / "flat.model")
         r = run_cli(["exp-lime-sal", "--model", "flat.model", "--points", "12"], tmp_path)
         assert r.returncode == 4
         assert "degenerate" in r.stderr
@@ -169,3 +182,13 @@ class TestExitCodes:
         (tmp_path / "empty").mkdir()
         r = run_cli(["verify", "--dir", "empty"], tmp_path)
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("resolution", ["10", "10,4,2", "5.7,4"])
+    def test_bad_resolution_exits_2(self, tmp_path, resolution):
+        save_flat_model(tmp_path / "flat.model")
+        r = run_cli(
+            ["grid", "--model", "flat.model", "--method", "saliency", "--resolution", resolution],
+            tmp_path,
+        )
+        assert r.returncode == 2
+        assert "--resolution" in r.stderr
