@@ -110,7 +110,8 @@ def _cmd_gen_data(args) -> None:
     save_dataset(ds, path)
     labels = ds.y
     print(f"wrote {path} ({len(ds)} rows, feasible fraction {ds.feasible_fraction:.3f})")
-    print(f"label range [{labels.min():.6g}, {labels.max():.6g}]")
+    if len(labels):  # min and max of an empty array raise
+        print(f"label range [{labels.min():.6g}, {labels.max():.6g}]")
     if ds.balance_warning:
         print("warning: could not balance feasible/infeasible halves within budget")
 
@@ -435,6 +436,9 @@ def main(argv=None) -> int:
     except LpattrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
+    except FileNotFoundError as exc:  # a missing input file is a validation error
+        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return ValidationError.exit_code
     return 0
 
 

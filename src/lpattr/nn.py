@@ -59,42 +59,42 @@ class ModelConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _act(kind: str, z: np.ndarray) -> np.ndarray:
+    """Activation of a fresh pre-activation array, written into its buffer."""
     if kind == "smooth-softplus":
-        return np.logaddexp(0.0, z)
+        e = np.exp(-np.abs(z))
+        return np.add(np.maximum(z, 0.0, out=z), np.log1p(e, out=e), out=z)
     if kind == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=z)
+    return np.maximum(z, 0.0, out=z)
 
 
-def _act_deriv(kind: str, z: np.ndarray) -> np.ndarray:
+def _act_deriv(kind: str, h: np.ndarray) -> np.ndarray:
+    """Activation derivative, taken from the layer output h = _act(z)."""
     if kind == "smooth-softplus":
-        return _sigmoid(z)
+        return -np.expm1(-h)  # 1 - exp(-softplus(z)) = sigmoid(z)
     if kind == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    return (z > 0).astype(float)
+        return 1.0 - h**2
+    return h > 0
 
 
 def _forward(weights, biases, activation: str, h: np.ndarray):
-    """Yield (pre-activation, output) per layer; the last layer is linear."""
+    """Yield each layer's output; the last layer is linear."""
     last = len(weights) - 1
     for i, (W, b) in enumerate(zip(weights, biases)):
         z = h @ W.T + b
         h = z if i == last else _act(activation, z)
-        yield z, h
+        yield h
 
 
-def _backward(weights, activation: str, pre: list[np.ndarray], g: np.ndarray):
-    """Given g = d(out)/d(last pre-activation), yield d(out)/d(pre-activation)
-    per layer, last layer first, then d(out)/d(input).
+def _backward(weights, activation: str, outs: list[np.ndarray], g: np.ndarray):
+    """Given g = d(out)/d(last pre-activation) and the layer outputs ``outs``
+    of _forward, yield d(out)/d(pre-activation) per layer, last layer first,
+    then d(out)/d(input).
 
     Each layer's weights are read before its gradient is yielded, so a caller
     may replace ``weights[i]`` once it has seen layer i.
@@ -102,7 +102,7 @@ def _backward(weights, activation: str, pre: list[np.ndarray], g: np.ndarray):
     last = len(weights) - 1
     for i in range(last, -1, -1):
         if i != last:
-            g = g * _act_deriv(activation, pre[i])
+            g = g * _act_deriv(activation, outs[i])
         W = weights[i]
         yield g
         g = g @ W
@@ -152,7 +152,7 @@ class Model(_PointQueries):
 
     def predict_many(self, X) -> np.ndarray:
         X = self._check_points(X)
-        _, h = _final(_forward(self.weights, self.biases, self.config.activation, self._normalize(X)))
+        h = _final(_forward(self.weights, self.biases, self.config.activation, self._normalize(X)))
         out = h[:, 0]
         if self.config.loss == "logistic":
             out = _sigmoid(out)
@@ -162,12 +162,12 @@ class Model(_PointQueries):
         """dF/dx rows, in original (unnormalized) coordinates."""
         X = self._check_points(X)
         act = self.config.activation
-        pre = [z for z, _ in _forward(self.weights, self.biases, act, self._normalize(X))]
+        outs = list(_forward(self.weights, self.biases, act, self._normalize(X)))
         g = np.ones((X.shape[0], 1))
         if self.config.loss == "logistic":
-            s = _sigmoid(pre[-1][:, 0])
+            s = _sigmoid(outs[-1][:, 0])
             g = (s * (1.0 - s))[:, None]
-        g = _final(_backward(self.weights, act, pre, g))
+        g = _final(_backward(self.weights, act, outs, g))
         lo, hi = self.bbox[:, 0], self.bbox[:, 1]
         return g / (hi - lo)
 
@@ -234,9 +234,9 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
         for start in range(0, n_samples, config.batch_size):
             idx = order[start : start + config.batch_size]
             zb, yb = Z[idx], y[idx]
-            layers = list(_forward(weights, biases, act, zb))
-            inputs = [zb] + [h for _, h in layers[:-1]]
-            out = layers[-1][1][:, 0]
+            outs = list(_forward(weights, biases, act, zb))
+            inputs = [zb] + outs[:-1]
+            out = outs[-1][:, 0]
             k = len(idx)
             if config.loss == "logistic":
                 p = _sigmoid(out)
@@ -251,8 +251,7 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
                     "loss became non-finite", last_state={"weights": weights, "biases": biases}
                 )
             epoch_loss += loss * k
-            pre = [z for z, _ in layers]
-            for i, g in zip(range(len(weights) - 1, -1, -1), _backward(weights, act, pre, delta)):
+            for i, g in zip(range(len(weights) - 1, -1, -1), _backward(weights, act, outs, delta)):
                 vel_W[i] = config.momentum * vel_W[i] - config.learning_rate * (g.T @ inputs[i])
                 vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * g.sum(axis=0)
                 weights[i] = weights[i] + vel_W[i]

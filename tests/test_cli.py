@@ -143,6 +143,12 @@ class TestPipeline:
         assert "val loss" not in r.stdout
         assert (tmp_path / "files" / "data-feasibility-model.model").exists()
 
+    def test_gen_data_with_zero_rows(self, tmp_path):
+        r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "0", "--out", "files"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "(0 rows" in r.stdout and "label range" not in r.stdout
+        assert (tmp_path / "files" / "data-feasibility.csv").exists()
+
 
 def save_flat_model(path):
     cfg = ModelConfig(depth=2, hidden_width=4)
@@ -161,6 +167,15 @@ class TestExitCodes:
         r = run_cli(["gen-data", "--encoding", "feasibility", "--lp", "no-such-file"], tmp_path)
         assert r.returncode == 2
         assert "error:" in r.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["grid", "--model", "nope.model", "--method", "saliency"],
+        ["train", "--data", "nope.csv"],
+    ])
+    def test_missing_input_file_exits_2(self, tmp_path, args):
+        r = run_cli(args, tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
 
     def test_bad_flag_exits_2(self, tmp_path):
         r = run_cli(["attribute", "--model", "x", "--method", "bogus", "--point", "1,2"], tmp_path)

@@ -13,6 +13,8 @@ from lpattr.nn import (
     AnalyticModel,
     Model,
     ModelConfig,
+    _act,
+    _act_deriv,
     accuracy,
     fit_arrays,
     load_model,
@@ -140,11 +142,65 @@ def test_dimension_mismatch():
             model.input_gradient([1.0])
 
 
+@pytest.mark.parametrize("activation", ["smooth-softplus", "tanh", "piecewise-linear"])
+def test_queries_and_training_leave_inputs_unchanged(activation):
+    # the activation is computed in place; only arrays the pass made may change
+    rng = np.random.Generator(np.random.PCG64(17))
+    box = np.array([[0.0, 2.0], [-1.0, 1.0]])  # normalization is not the identity
+    X = rng.uniform(box[:, 0], box[:, 1], size=(64, 2))
+    y = np.sin(X[:, 0]) + X[:, 1]
+    bbox = box.copy()
+    X0, y0 = X.copy(), y.copy()
+    model = fit_arrays(X, y, tiny_config(activation=activation), bbox, val_X=X, val_y=y)
+    params = [p.copy() for p in model.weights + model.biases]
+    model.predict_many(X)
+    model.input_gradient_many(X)
+    np.testing.assert_array_equal(X, X0)
+    np.testing.assert_array_equal(y, y0)
+    np.testing.assert_array_equal(bbox, box)
+    np.testing.assert_array_equal(model.bbox, box)
+    for p, p0 in zip(model.weights + model.biases, params):
+        np.testing.assert_array_equal(p, p0)
+
+
 ACTIVATION_FNS = {
     "smooth-softplus": lambda z: np.logaddexp(0.0, z),
     "tanh": np.tanh,
     "piecewise-linear": lambda z: np.maximum(z, 0.0),
 }
+
+
+KERNEL_Z = np.concatenate([
+    [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.0, -709.0, 750.0, -750.0],
+    np.random.Generator(np.random.PCG64(13)).standard_normal(10**5),
+])
+
+
+def ulps(got, want):
+    return np.max(np.abs(got - want) / np.spacing(np.abs(want)))
+
+
+def test_softplus_kernel_within_ulps_of_reference():
+    h = _act("smooth-softplus", KERNEL_Z.copy())
+    d = _act_deriv("smooth-softplus", h)
+    assert np.isfinite(h).all() and np.isfinite(d).all()
+    # measured 2 and 2 ulps here (3 and 2 on a dense grid over [-760, 760]);
+    # the sigmoid reference is evaluated in extended precision and rounded once
+    assert ulps(h, ACTIVATION_FNS["smooth-softplus"](KERNEL_Z)) <= 4
+    zl = KERNEL_Z.astype(np.longdouble)
+    assert ulps(d, (1 / (1 + np.exp(-zl))).astype(float)) <= 4
+
+
+@pytest.mark.parametrize("activation, deriv", [
+    ("tanh", lambda z: 1.0 - np.tanh(z) ** 2),
+    ("piecewise-linear", lambda z: (z > 0).astype(float)),
+])
+def test_exact_activation_kernels_match_references(activation, deriv):
+    h = _act(activation, KERNEL_Z.copy())
+    d = _act_deriv(activation, h)
+    assert np.isfinite(h).all() and np.isfinite(d).all()
+    np.testing.assert_array_equal(h, ACTIVATION_FNS[activation](KERNEL_Z))
+    np.testing.assert_array_equal(d, deriv(KERNEL_Z))
 
 
 def batch_loss(weights, biases, X, y, activation, loss):
