@@ -190,7 +190,14 @@ def save_dataset(ds: Dataset, csv_path) -> None:
 
 
 def load_dataset(csv_path) -> Dataset:
-    csv_path = str(csv_path)
+    """Read a dataset written by save_dataset; a malformed CSV or sidecar raises ValidationError."""
+    try:
+        return _read_dataset(str(csv_path))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(f"{csv_path} is not a dataset file: {exc!r}") from None
+
+
+def _read_dataset(csv_path: str) -> Dataset:
     with open(csv_path, "r", encoding="utf-8") as fh:
         lines = fh.read().strip().split("\n")
     header = lines[0].split(",")

@@ -15,6 +15,7 @@ Each encoding maps a point x in R^n to one float. The five kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -110,7 +111,8 @@ class Encoding:
         if self.kind == "abs-boundary-distance":
             return np.abs(min_slack_many(self.lp, X))
         if self.kind == "vertex-distance":
-            return np.linalg.norm(X[:, None, :] - self._retained[None, :, :], axis=2).min(axis=1)
+            # one (N,) distance array per vertex at a time, not an (N, k, n) broadcast
+            return reduce(np.minimum, (np.linalg.norm(X - v, axis=1) for v in self._retained))
         return self._gain_penalty_values(X)
 
     def value(self, x) -> float:

@@ -38,11 +38,7 @@ class NumericError(LpattrError):
 
 
 class ProjectionFailureError(NumericError):
-    """Projection did not converge; carries the best iterate found."""
-
-    def __init__(self, message, best_iterate=None):
-        super().__init__(message)
-        self.best_iterate = best_iterate
+    """No active set certified a point's Euclidean projection onto the feasible set."""
 
 
 class TrainingDivergenceError(NumericError):

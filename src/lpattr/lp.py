@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from .serialize import digest_of, format_float
 FEAS_TOL = 1e-9
 # Two candidate vertices closer than this (Euclidean) are duplicates.
 VERTEX_DEDUP_TOL = 1e-7
-# Projection accuracy target and sweep cap for the alternating method.
-PROJ_TOL = 1e-8
-PROJ_MAX_SWEEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -51,6 +48,7 @@ class LinearProgram:
     A: np.ndarray
     b: np.ndarray
     positivity_flag: bool = field(init=False)
+    _vertex_set: VertexSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -146,8 +144,10 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
     ``m`` constraint rows and the ``n`` axis planes ``x_i = 0``; nonsingular
     systems are solved, infeasible or duplicate solutions dropped. The
     polytope must be bounded, otherwise the result is incomplete by nature
-    and an empty result raises.
+    and an empty result raises. Computed once per program; the array is read-only.
     """
+    if lp._vertex_set is not None:
+        return lp._vertex_set
     n, m = lp.n, lp.m
     normals = np.vstack([lp.A, np.eye(n)])
     offsets = np.concatenate([lp.b, np.zeros(n)])
@@ -175,53 +175,51 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
             "no feasible vertex found; the feasible set is empty or the enumeration is incomplete"
         )
     vertices = np.array(kept)
+    vertices.setflags(write=False)
     origin_included = bool((np.linalg.norm(vertices, axis=1) <= VERTEX_DEDUP_TOL).any())
-    return VertexSet(vertices=vertices, origin_included=origin_included)
-
-
-def _halfspace_normals(lp: LinearProgram):
-    """Rows (a, beta) describing all halfspaces a.x <= beta, including x >= 0."""
-    normals = np.vstack([lp.A, -np.eye(lp.n)])
-    offsets = np.concatenate([lp.b, np.zeros(lp.n)])
-    sq = (normals**2).sum(axis=1)
-    return normals, offsets, sq
+    object.__setattr__(lp, "_vertex_set", VertexSet(vertices=vertices, origin_included=origin_included))
+    return lp._vertex_set
 
 
 def project_feasible_many(lp: LinearProgram, X) -> np.ndarray:
     """Euclidean projection of each row of ``X`` onto ``{A x <= b, x >= 0}``.
 
-    Dykstra's alternating projections over the m + n halfspaces; each
-    halfspace projection is closed form, and the correction vectors make the
-    limit the exact projection onto the intersection, not merely a feasible
-    point. Raises ProjectionFailureError when the sweep cap is hit.
+    Exact and finite: each set S of k = 1..n halfspaces with independent
+    normals ``G_S`` is tried as the active set. The projection of x onto
+    ``G_S y = h_S`` is ``y = x - G_S^T mu``, ``mu = (G_S G_S^T)^-1 (G_S x - h_S)``;
+    when ``mu >= 0`` and ``y`` is feasible, these are the KKT conditions of
+    the unique projection. Feasible rows come back unchanged; a row that no
+    active set certifies raises ProjectionFailureError.
     """
     X = _as_points(lp, X)
-    normals, offsets, sq = _halfspace_normals(lp)
-    k = normals.shape[0]
-    x = X.copy()
-    corrections = np.zeros((k, X.shape[0], lp.n))
-    for _ in range(PROJ_MAX_SWEEPS):
-        x_prev = x.copy()
-        for i in range(k):
-            y = x + corrections[i]
-            viol = (y @ normals[i] - offsets[i]) / sq[i]
-            step = np.maximum(viol, 0.0)
-            x = y - step[:, None] * normals[i][None, :]
-            corrections[i] = y - x
-        if np.abs(x - x_prev).max() <= PROJ_TOL * 1e-2:
-            if ((x @ normals.T - offsets[None, :]) <= PROJ_TOL).all():
-                return x
-    raise ProjectionFailureError(
-        f"projection did not converge within {PROJ_MAX_SWEEPS} sweeps", best_iterate=x
-    )
+    out = X.copy()
+    left = np.flatnonzero(~feasible_mask(lp, X))
+    G_all = np.vstack([lp.A, -np.eye(lp.n)])
+    h_all = np.concatenate([lp.b, np.zeros(lp.n)])
+    active_sets = chain.from_iterable(combinations(range(len(h_all)), k) for k in range(1, lp.n + 1))
+    for rows in active_sets:
+        if left.size == 0:
+            break
+        G, h = G_all[list(rows)], h_all[list(rows)]
+        if np.linalg.matrix_rank(G) < len(rows):
+            continue
+        x = X[left]
+        # pinv(G) = G^T (G G^T)^-1, better conditioned than inverting G G^T
+        pinv = np.linalg.pinv(G)
+        mu = (x - pinv @ h) @ pinv
+        y = x - mu @ G
+        ok = (mu >= -FEAS_TOL).all(axis=1)
+        ok[ok] = feasible_mask(lp, y[ok])
+        out[left[ok]] = y[ok]
+        left = left[~ok]
+    if left.size:
+        raise ProjectionFailureError(f"no active set certifies the projection of {left.size} row(s)")
+    return out
 
 
 def project_feasible(lp: LinearProgram, x) -> np.ndarray:
-    """Closest feasible point to ``x``; identity when ``x`` is already feasible."""
-    x = as_point(lp, x)
-    if is_feasible(lp, x):
-        return x.copy()
-    return project_feasible_many(lp, x)[0]
+    """Closest feasible point to ``x``; equal to ``x`` when it is already feasible."""
+    return project_feasible_many(lp, as_point(lp, x))[0]
 
 
 def solve_on_vertices(lp: LinearProgram, direction: str = "minimize"):
@@ -269,11 +267,13 @@ def save_lp(lp: LinearProgram, path) -> None:
 
 
 def load_lp(path) -> LinearProgram:
+    """Read a program written by save_lp; a malformed file raises ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    lp = LinearProgram(c=np.array(doc["c"], dtype=float),
-                       A=np.array(doc["A"], dtype=float),
-                       b=np.array(doc["b"], dtype=float))
+        try:
+            doc = json.load(fh)
+            lp = LinearProgram(*(np.array(doc[key], dtype=float) for key in ("c", "A", "b")))
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise ValidationError(f"{path} is not a program file: {exc!r}") from None
     if lp.n != doc.get("n", lp.n) or lp.m != doc.get("m", lp.m):
         raise ValidationError("declared n/m do not match the array shapes")
     return lp

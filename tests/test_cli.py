@@ -177,6 +177,27 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "m": 1, "c": [1, 1], "A": [[1, 1]], "b": [',
+        '{"n": 2, "m": 1, "c": [1, 1], "b": [1]}',
+    ], ids=["truncated-json", "missing-A"])
+    def test_malformed_program_file_exits_2(self, tmp_path, text):
+        (tmp_path / "bad.json").write_text(text)
+        r = run_cli(["props", "--lp", "bad.json"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "not a program file" in r.stderr
+
+    def test_malformed_dataset_file_exits_2(self, tmp_path):
+        r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "20", "--out", "files"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        csv = tmp_path / "files" / "data-feasibility.csv"
+        lines = csv.read_text().splitlines()
+        lines[3] = "abc," + lines[3].split(",", 1)[1]
+        csv.write_text("\n".join(lines) + "\n")
+        r = run_cli(["train", "--data", "files/data-feasibility.csv"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "not a dataset file" in r.stderr
+
     def test_bad_flag_exits_2(self, tmp_path):
         r = run_cli(["attribute", "--model", "x", "--method", "bogus", "--point", "1,2"], tmp_path)
         assert r.returncode == 2

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lpattr.errors import DimensionMismatchError, ValidationError
+from lpattr.errors import DimensionMismatchError, ProjectionFailureError, ValidationError
 from lpattr.fixtures import lp_box, lp_tri, random_positive_lp
 from lpattr.lp import (
     FEAS_TOL,
@@ -179,15 +179,15 @@ def test_vertex_soundness():
 
 def test_projection_identity_on_feasible():
     lp = lp_box()
-    np.testing.assert_allclose(project_feasible(lp, [1, 1]), [1, 1])
+    np.testing.assert_array_equal(project_feasible(lp, [1, 1]), [1, 1])
 
 
 def test_projection_clamps_box():
-    np.testing.assert_allclose(project_feasible(lp_box(), [3, 3]), [2, 3], atol=1e-7)
+    np.testing.assert_allclose(project_feasible(lp_box(), [3, 3]), [2, 3], rtol=0, atol=1e-12)
 
 
 def test_projection_tri_diagonal():
-    np.testing.assert_allclose(project_feasible(lp_tri(), [4, 4]), [2, 2], atol=1e-7)
+    np.testing.assert_allclose(project_feasible(lp_tri(), [4, 4]), [2, 2], rtol=0, atol=1e-12)
 
 
 def test_projection_against_grid_oracle():
@@ -198,8 +198,7 @@ def test_projection_against_grid_oracle():
         p = project_feasible(lp, x)
         _, best, pitch = oracle_grid_projection(lp, x, per_axis=201)
         assert np.linalg.norm(x - p) <= best + 2 * pitch
-        # feasible within the projection tolerance band
-        assert min_slack(lp, p) >= -1e-8 and (p >= -1e-8).all()
+        assert min_slack(lp, p) >= -1e-12 and (p >= -1e-12).all()
 
 
 def test_projection_variational_inequality():
@@ -214,7 +213,7 @@ def test_projection_variational_inequality():
     P = project_feasible_many(lp, X)
     for x, p in zip(X, P):
         inner = (Z - p) @ (x - p)
-        assert inner.max() <= 1e-6
+        assert inner.max() <= 1e-12
 
 
 def test_projection_idempotent():
@@ -223,7 +222,58 @@ def test_projection_idempotent():
     X = rng.uniform(0, 5, size=(20, 2))
     P = project_feasible_many(lp, X)
     P2 = project_feasible_many(lp, P)
-    np.testing.assert_allclose(P, P2, atol=1e-6)
+    np.testing.assert_allclose(P, P2, rtol=0, atol=1e-12)
+
+
+def assert_projection_certified(lp, X, P):
+    """Feasible rows are returned unchanged; every projection is feasible and
+    passes the vertex certificate: p is the projection of x iff p is feasible
+    and (x - p).(v - p) <= 0 for every vertex v of the polytope."""
+    inside = np.array([is_feasible(lp, x) for x in X])
+    np.testing.assert_array_equal(P[inside], X[inside])
+    assert (P @ lp.A.T - lp.b).max() <= 1e-12 and (-P).max() <= 1e-12
+    V = oracle_vertices(lp.c, lp.A, lp.b)
+    for x, p in zip(X[~inside], P[~inside]):
+        to_v = V - p
+        scale = np.linalg.norm(x - p) * np.linalg.norm(to_v, axis=1).max()
+        assert (to_v @ (x - p)).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_projection_certificates_on_random_programs(n):
+    lp = random_positive_lp(n, n + 2, seed=3)
+    bbox = vertex_bbox(lp, 2.0)
+    X = np.random.Generator(np.random.PCG64(n)).uniform(bbox[:, 0], bbox[:, 1], size=(300, n))
+    assert_projection_certified(lp, X, project_feasible_many(lp, X))
+
+
+def test_projection_onto_degenerate_vertex():
+    # (4, 0) has three active constraints in two dimensions: x1 + x2 <= 4, x1 <= 4, x2 >= 0
+    lp = LinearProgram(c=np.ones(2), A=np.array([[1.0, 1.0], [1.0, 0.0]]), b=np.array([4.0, 4.0]))
+    X = np.array([[7.0, -2.0], [6.0, 1.0], [4.0, 4.0], [1.0, 1.0]])
+    P = project_feasible_many(lp, X)
+    np.testing.assert_allclose(P[:3], [[4, 0], [4, 0], [2, 2]], rtol=0, atol=1e-12)
+    assert_projection_certified(lp, X, P)
+
+
+def test_projection_onto_empty_set_raises():
+    # x1 <= -1 and x >= 0 have no common point, so no active set certifies a projection
+    lp = LinearProgram(c=np.ones(2), A=np.array([[1.0, 0.0]]), b=np.array([-1.0]))
+    with pytest.raises(ProjectionFailureError):
+        project_feasible_many(lp, [[0.5, 0.5]])
+
+
+def test_vertex_enumeration_is_memoized_and_read_only():
+    lp = random_positive_lp(3, 4, seed=5)
+    first = enumerate_vertices(lp)
+    assert enumerate_vertices(lp) is first
+    assert not first.vertices.flags.writeable
+    with pytest.raises(ValueError):
+        first.vertices[0, 0] = 1.0
+    # a new instance of the same program enumerates afresh, to the same bytes
+    again = enumerate_vertices(random_positive_lp(3, 4, seed=5))
+    assert again is not first
+    assert again.vertices.tobytes() == first.vertices.tobytes()
 
 
 # ---------------------------------------------------------------- optimize
