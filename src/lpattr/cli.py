@@ -328,10 +328,11 @@ def _cmd_verify(args) -> None:
 
 
 def _add_perturb_flags(sub) -> None:
-    sub.add_argument("--radius", type=float, default=0.1, help="perturbation radius p")
-    sub.add_argument("--samples", type=int, default=50, help="surrogate sample count")
-    sub.add_argument("--repeats", type=int, default=10, help="permutation repeats")
-    sub.add_argument("--ridge-lambda", type=float, default=1.0, help="ridge weight")
+    cfg = PerturbConfig()
+    sub.add_argument("--radius", type=float, default=cfg.radius, help="perturbation radius p")
+    sub.add_argument("--samples", type=int, default=cfg.samples, help="surrogate sample count")
+    sub.add_argument("--repeats", type=int, default=cfg.repeats, help="permutation repeats")
+    sub.add_argument("--ridge-lambda", type=float, default=cfg.ridge_lambda, help="ridge weight")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True, help="model file from train")
     sub.add_argument("--method", required=True, choices=METHOD_TAGS)
     sub.add_argument("--point", required=True, help="comma-separated coordinates")
-    sub.add_argument("--ig-steps", type=int, default=256, help="path integral resolution")
+    sub.add_argument("--ig-steps", type=int, default=IGConfig().steps, help="path integral resolution")
     sub.add_argument("--baseline", help="path integral baseline (default zeros)")
     _add_perturb_flags(sub)
     sub.add_argument("--name", help="also write <name>.csv under --out")
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--y-range", help="lo,hi (default: model box)")
     sub.add_argument("--fixed", help="values for unswept features (default: box midpoints)")
     sub.add_argument("--resolution", default=f"{DEFAULT_RESOLUTION[0]},{DEFAULT_RESOLUTION[1]}", help="width,height")
-    sub.add_argument("--ig-steps", type=int, default=256)
+    sub.add_argument("--ig-steps", type=int, default=IGConfig().steps)
     _add_perturb_flags(sub)
     sub.add_argument("--name", help="output stem (default grid-<method>)")
     sub.set_defaults(func=_cmd_grid)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, make_encoding
-from .errors import CoverageError, ValidationError
+from .errors import CoverageError, ValidationError, malformed_file
 from .lp import LinearProgram, enumerate_vertices, feasible_mask, vertex_bbox
 from .seeding import rng
 from .serialize import format_float
@@ -191,10 +191,8 @@ def save_dataset(ds: Dataset, csv_path) -> None:
 
 def load_dataset(csv_path) -> Dataset:
     """Read a dataset written by save_dataset; a malformed CSV or sidecar raises ValidationError."""
-    try:
+    with malformed_file(csv_path, "dataset file"):
         return _read_dataset(str(csv_path))
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ValidationError(f"{csv_path} is not a dataset file: {exc!r}") from None
 
 
 def _read_dataset(csv_path: str) -> Dataset:

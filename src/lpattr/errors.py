@@ -4,6 +4,8 @@ Three families map onto the CLI exit codes: validation problems (exit 2),
 numeric failures (exit 3), and inconclusive empirical checks (exit 4).
 """
 
+from contextlib import contextmanager
+
 
 class LpattrError(Exception):
     """Base class for all library errors."""
@@ -13,6 +15,16 @@ class ValidationError(LpattrError):
     """Bad inputs: shape mismatches, broken preconditions, bad configs."""
 
     exit_code = 2
+
+
+@contextmanager
+def malformed_file(path, what: str):
+    """Report the KeyError, TypeError or ValueError (JSONDecodeError is one)
+    of reading a malformed input file as a ValidationError naming the file."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path} is not a {what}: {exc!r}") from None
 
 
 class DimensionMismatchError(ValidationError):

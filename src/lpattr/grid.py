@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attribution import IGConfig, PerturbConfig, attribute
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, malformed_file
 from .render import render_heatmap
 from .seeding import sub_seed
 from .serialize import digest_of, format_float
@@ -99,7 +99,6 @@ def grid_attribution(
     seed: int = 0,
     ig_cfg: IGConfig | None = None,
     perturb_cfg: PerturbConfig | None = None,
-    provenance: dict | None = None,
 ) -> GridResult:
     """Evaluate one attribution method at every cell center."""
     if model.input_dim != spec.n:
@@ -138,8 +137,6 @@ def grid_attribution(
             }
         ),
     }
-    if provenance:
-        prov.update(provenance)
     return GridResult(spec=spec, method=method, channels=channels, provenance=prov)
 
 
@@ -155,14 +152,16 @@ def channel_csv_text(channel: np.ndarray) -> str:
 
 
 def load_channel_csv(path) -> np.ndarray:
+    """Read a channel written by channel_csv_text; a malformed CSV raises ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().strip().split("\n")
-    cells = [line.split(",") for line in lines[1:]]
-    rows = max(int(c[0]) for c in cells) + 1
-    cols = max(int(c[1]) for c in cells) + 1
+    with malformed_file(path, "channel CSV"):  # an empty table, a short row or a non-number
+        cells = [(int(r), int(c), float(v)) for r, c, v in (line.split(",") for line in lines[1:])]
+        rows = max(r for r, _, _ in cells) + 1
+        cols = max(c for _, c, _ in cells) + 1
     out = np.zeros((cols, rows))
     for r, c, v in cells:
-        out[int(c), int(r)] = float(v)
+        out[c, r] = v
     return out
 
 
@@ -208,10 +207,12 @@ def verify_grid_files(out_dir, stem: str) -> dict:
     channel equals the feature channels added in index order, exactly."""
     from .serialize import sha256_hex
 
-    with open(os.path.join(out_dir, f"{stem}_manifest.json"), "r", encoding="utf-8") as fh:
+    manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
+    with open(manifest_path, "r", encoding="utf-8") as fh, malformed_file(manifest_path, "grid manifest"):
         manifest = json.load(fh)
+        files, channels = dict(manifest["files"]), list(manifest["channels"])
     problems = []
-    for name, want in manifest["files"].items():
+    for name, want in files.items():
         path = os.path.join(out_dir, name)
         if not os.path.exists(path):
             problems.append(f"missing file {name}")
@@ -220,7 +221,7 @@ def verify_grid_files(out_dir, stem: str) -> dict:
             got = sha256_hex(fh.read())
         if got != want:
             problems.append(f"hash mismatch for {name}")
-    feature_names = [c for c in manifest["channels"] if c.startswith("a")]
+    feature_names = [c for c in channels if c.startswith("a")]
     feature_names.sort(key=lambda s: int(s[1:]))
     loaded = [load_channel_csv(os.path.join(out_dir, f"{stem}_{c}.csv")) for c in feature_names]
     total = load_channel_csv(os.path.join(out_dir, f"{stem}_sum.csv"))

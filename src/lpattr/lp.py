@@ -23,6 +23,7 @@ from .errors import (
     EmptyVertexSetError,
     ProjectionFailureError,
     ValidationError,
+    malformed_file,
 )
 from .serialize import digest_of, format_float
 
@@ -268,12 +269,9 @@ def save_lp(lp: LinearProgram, path) -> None:
 
 def load_lp(path) -> LinearProgram:
     """Read a program written by save_lp; a malformed file raises ValidationError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-            lp = LinearProgram(*(np.array(doc[key], dtype=float) for key in ("c", "A", "b")))
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise ValidationError(f"{path} is not a program file: {exc!r}") from None
+    with open(path, "r", encoding="utf-8") as fh, malformed_file(path, "program file"):
+        doc = json.load(fh)
+        lp = LinearProgram(*(np.array(doc[key], dtype=float) for key in ("c", "A", "b")))
     if lp.n != doc.get("n", lp.n) or lp.m != doc.get("m", lp.m):
         raise ValidationError("declared n/m do not match the array shapes")
     return lp

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, TrainingDivergenceError, ValidationError
+from .errors import ConfigurationError, TrainingDivergenceError, ValidationError, malformed_file
 from .seeding import rng
 from .serialize import floats_to_lists
 
@@ -314,24 +314,22 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValidationError("not a model file")
+    """Read a model written by save_model; a malformed file raises ValidationError."""
+    with open(path, "rb") as fh, malformed_file(path, "model file"):
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise ValidationError(f"{path} is not a model file")
         header = json.loads(fh.readline().decode("utf-8"))
         data = {}
         for spec in header["arrays"]:
             shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
+            buf = fh.read(8 * int(np.prod(shape)))
             data[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    config = ModelConfig(**header["config"])
-    n_layers = config.depth
-    return Model(
-        weights=[data[f"W{i}"] for i in range(n_layers)],
-        biases=[data[f"b{i}"] for i in range(n_layers)],
-        config=config,
-        input_dim=header["input_dim"],
-        bbox=data["bbox"],
-        training_summary=header["training_summary"],
-    )
+        config = ModelConfig(**header["config"])
+        return Model(
+            weights=[data[f"W{i}"] for i in range(config.depth)],
+            biases=[data[f"b{i}"] for i in range(config.depth)],
+            config=config,
+            input_dim=header["input_dim"],
+            bbox=data["bbox"],
+            training_summary=header["training_summary"],
+        )

@@ -14,9 +14,11 @@ predicate over a box around the polytope:
 - boundary_extrema: at least one of the encoding's two extremes (max or
   min) is attained only near the constraint boundary.
 
-The checkers are regression tests against known analysis, not proofs: they
-sample at documented counts with documented margins and are deterministic
-per seed.
+The five encodings of a table share one probe set per program and seed;
+each is evaluated once on the pooled points and once on the continuity
+pairs, and the checkers read only those values and the points' slacks. They
+are regression tests against known analysis, not proofs: they sample at
+documented counts with documented margins and are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import PerturbConfig, attribute
-from .encodings import ENCODING_KINDS, Encoding, make_encoding
+from .encodings import Encoding, all_encodings, make_encoding
 from .errors import ConfigurationError, InconclusiveError, ValidationError
 from .lp import FEAS_TOL, LinearProgram, enumerate_vertices, min_slack_many, vertex_bbox
 from .seeding import rng, sample_box, sub_seed
@@ -73,6 +75,7 @@ CONTINUITY_SCALES = (1e-2, 1e-3, 1e-4)
 CONTINUITY_FACTOR = 10.0
 MIN_BOUNDARY_POINTS = 50
 BOUNDARY_SLACK_TOL = 1e-12
+BISECTION_STEPS = 100  # halvings of each boundary-straddling segment
 OFF_BOUNDARY_FRACTION = 0.02  # of the slack scale
 VALUE_COLLISION_FRACTION = 1e-3  # of the value range
 EXTREMUM_BAND_FRACTION = 0.01  # of the value range
@@ -94,7 +97,7 @@ class PropertyReport:
         return {name: getattr(self, name) for name in PROPERTY_NAMES}
 
 
-def find_boundary_points(lp: LinearProgram, bbox, count: int, seed: int, max_iters: int = 100) -> np.ndarray:
+def find_boundary_points(lp: LinearProgram, bbox, count: int, seed: int) -> np.ndarray:
     """Points with min_slack = 0 (to BOUNDARY_SLACK_TOL), by sign bisection
     along segments between sampled points of opposite slack sign."""
     bbox = np.asarray(bbox, dtype=float)
@@ -107,9 +110,9 @@ def find_boundary_points(lp: LinearProgram, bbox, count: int, seed: int, max_ite
         raise InconclusiveError(
             f"only {pairs} boundary-straddling pairs found; the box barely intersects the boundary"
         )
-    lo = pos[:pairs].copy()
-    hi = neg[:pairs].copy()
-    for _ in range(max_iters):
+    lo, hi = pos[:pairs], neg[:pairs]
+    # the midpoint is tested before the first halving and after each one
+    for _ in range(BISECTION_STEPS + 1):
         mid = 0.5 * (lo + hi)
         s = min_slack_many(lp, mid)
         if np.abs(s).max() <= BOUNDARY_SLACK_TOL:
@@ -117,34 +120,45 @@ def find_boundary_points(lp: LinearProgram, bbox, count: int, seed: int, max_ite
         take_lo = s > 0
         lo[take_lo] = mid[take_lo]
         hi[~take_lo] = mid[~take_lo]
-    mid = 0.5 * (lo + hi)
-    if np.abs(min_slack_many(lp, mid)).max() <= BOUNDARY_SLACK_TOL:
-        return mid
     raise InconclusiveError("bisection failed to localize the boundary")
 
 
-def _clip_to_box(X: np.ndarray, bbox: np.ndarray) -> np.ndarray:
-    return np.clip(X, bbox[:, 0], bbox[:, 1])
-
-
-def _check_continuity(enc: Encoding, bbox, boundary: np.ndarray, count: int, seed: int):
-    """Jump statistic J(h) = max |phi(x + h u) - phi(x)| over random pairs
-    and boundary-straddling pairs; pass iff J shrinks with h like a
-    Lipschitz function (J(h) <= 10 h Lhat, Lhat = J(h_max)/h_max)."""
+def _probe_points(lp: LinearProgram, bbox, sample_count: int, seed: int):
+    """``(pool, pool_slacks, boundary_count, pair_ends)``: the uniform
+    samples, boundary points and anchors (vertices, then box corners)
+    stacked, their min slacks (0 on the boundary points), and both ends of
+    each continuity pair, shape (len(CONTINUITY_SCALES), 2, pairs, n)."""
+    if sample_count < 1000:
+        raise ValidationError("sample_count must be >= 1000")
+    bbox = vertex_bbox(lp) if bbox is None else np.asarray(bbox, dtype=float)
+    samples = sample_box(bbox, sample_count, rng(seed, 0))
+    boundary = find_boundary_points(lp, bbox, max(MIN_BOUNDARY_POINTS * 4, sample_count // 8), seed)
+    # Anchors pin the sampled extrema to the true ones, which random samples
+    # alone miss when an extremum is attained at isolated points.
+    corners = np.stack(np.meshgrid(*bbox, indexing="ij"), axis=-1).reshape(-1, lp.n)
+    anchors = np.vstack([enumerate_vertices(lp).vertices, corners])
+    # continuity pairs: random pairs at distance h, then pairs straddling the boundary
     gen = rng(seed, 1)
-    n = bbox.shape[0]
-    base = sample_box(bbox, count, gen)
-    dirs = gen.normal(size=(count, n))
+    base = sample_box(bbox, sample_count // 4, gen)
+    dirs = gen.normal(size=(len(base), lp.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    bdirs = gen.normal(size=(len(boundary), n))
+    bdirs = gen.normal(size=(len(boundary), lp.n))
     bdirs /= np.linalg.norm(bdirs, axis=1, keepdims=True)
-    jumps = {}
-    for h in CONTINUITY_SCALES:
-        a = np.vstack([base, boundary - 0.5 * h * bdirs])
-        b = np.vstack([base + h * dirs, boundary + 0.5 * h * bdirs])
-        a = _clip_to_box(a, bbox)
-        b = _clip_to_box(b, bbox)
-        jumps[h] = float(np.abs(enc.values(a) - enc.values(b)).max())
+    ends = np.array([
+        [np.vstack([base, boundary - 0.5 * h * bdirs]),
+         np.vstack([base + h * dirs, boundary + 0.5 * h * bdirs])]
+        for h in CONTINUITY_SCALES
+    ])
+    pool_slacks = [min_slack_many(lp, samples), np.zeros(len(boundary)), min_slack_many(lp, anchors)]
+    return (np.vstack([samples, boundary, anchors]), np.concatenate(pool_slacks), len(boundary),
+            np.clip(ends, bbox[:, 0], bbox[:, 1]))
+
+
+def _check_continuity(end_vals: np.ndarray):
+    """Jump statistic J(h) = max |phi(a) - phi(b)| over the pairs (a, b) at
+    scale h; pass iff J shrinks with h like a Lipschitz function
+    (J(h) <= 10 h Lhat, Lhat = J(h_max)/h_max)."""
+    jumps = {h: float(np.abs(a - b).max()) for h, (a, b) in zip(CONTINUITY_SCALES, end_vals)}
     h_max = CONTINUITY_SCALES[0]
     lipschitz = jumps[h_max] / h_max
     ok = all(
@@ -154,42 +168,33 @@ def _check_continuity(enc: Encoding, bbox, boundary: np.ndarray, count: int, see
     return ok, {"jumps": jumps, "lipschitz_estimate": lipschitz}
 
 
-def _check_distinguish_class(enc: Encoding, samples: np.ndarray, slacks: np.ndarray):
+def _check_distinguish_class(vals: np.ndarray, slacks: np.ndarray):
     """Pass iff the value intervals of the two classes are disjoint; the
     witness is a threshold (snapped to 0 when 0 sits in the gap) plus which
     side the feasible class lies on."""
     off_band = np.abs(slacks) > FEAS_TOL
-    vals = enc.values(samples[off_band])
+    vals = vals[off_band]
     feas = slacks[off_band] >= 0
     if feas.all() or (~feas).all():
         raise InconclusiveError("one feasibility class has no samples in the box")
     f_lo, f_hi = float(vals[feas].min()), float(vals[feas].max())
     i_lo, i_hi = float(vals[~feas].min()), float(vals[~feas].max())
+    stats = {"feasible_interval": (f_lo, f_hi), "infeasible_interval": (i_lo, i_hi)}
     if f_lo > i_hi:
-        gap = (i_hi, f_lo)
-        orientation = "feasible-above"
+        gap, orientation = (i_hi, f_lo), "feasible-above"
     elif i_lo > f_hi:
-        gap = (f_hi, i_lo)
-        orientation = "feasible-below"
+        gap, orientation = (f_hi, i_lo), "feasible-below"
     else:
-        return False, {"feasible_interval": (f_lo, f_hi), "infeasible_interval": (i_lo, i_hi)}
+        return False, stats
     threshold = 0.0 if gap[0] < 0.0 < gap[1] else 0.5 * (gap[0] + gap[1])
-    stats = {
-        "feasible_interval": (f_lo, f_hi),
-        "infeasible_interval": (i_lo, i_hi),
-        "threshold": threshold,
-        "orientation": orientation,
-    }
-    return True, stats
+    return True, {**stats, "threshold": threshold, "orientation": orientation}
 
 
-def _check_distinguish_boundary(enc: Encoding, samples: np.ndarray, slacks: np.ndarray, boundary: np.ndarray):
+def _check_distinguish_boundary(vals: np.ndarray, slacks: np.ndarray, b_vals: np.ndarray):
     """Pass iff no off-boundary sample's value comes within a small fraction
     of the value range of any boundary point's value."""
-    b_vals = enc.values(boundary)
     slack_scale = float(np.abs(slacks).max())
-    off = np.abs(slacks) >= OFF_BOUNDARY_FRACTION * slack_scale
-    off_vals = enc.values(samples[off])
+    off_vals = vals[np.abs(slacks) >= OFF_BOUNDARY_FRACTION * slack_scale]
     all_vals = np.concatenate([b_vals, off_vals])
     value_range = float(all_vals.max() - all_vals.min())
     rho = VALUE_COLLISION_FRACTION * max(value_range, 1e-12)
@@ -203,28 +208,18 @@ def _check_distinguish_boundary(enc: Encoding, samples: np.ndarray, slacks: np.n
     return ok, stats
 
 
-def _check_boundary_extrema(enc: Encoding, samples: np.ndarray, slacks: np.ndarray, boundary: np.ndarray, probes: np.ndarray):
-    """Pass iff all near-maximum samples, or all near-minimum samples, sit
-    near the constraint boundary (small |min_slack|).
-
-    ``probes`` are structural anchor points (polytope vertices, box
-    corners); they pin the sampled extrema to the true ones, which random
-    samples alone miss when an extremum is attained at isolated points.
-    """
-    pool = np.vstack([samples, boundary, probes])
-    pool_slacks = np.concatenate(
-        [slacks, np.zeros(len(boundary)), min_slack_many(enc.lp, probes)]
-    )
-    vals = enc.values(pool)
+def _check_boundary_extrema(vals: np.ndarray, slacks: np.ndarray):
+    """Pass iff all near-maximum points, or all near-minimum points, sit
+    near the constraint boundary (small |min_slack|)."""
     value_range = float(vals.max() - vals.min())
     if value_range <= 0:
         raise InconclusiveError("encoding is constant over the box")
     eta = EXTREMUM_BAND_FRACTION * value_range
-    theta = EXTREMUM_SLACK_FRACTION * float(np.abs(pool_slacks).max())
+    theta = EXTREMUM_SLACK_FRACTION * float(np.abs(slacks).max())
     near_max = vals >= vals.max() - eta
     near_min = vals <= vals.min() + eta
-    max_on_boundary = bool(np.abs(pool_slacks[near_max]).max() <= theta)
-    min_on_boundary = bool(np.abs(pool_slacks[near_min]).max() <= theta)
+    max_on_boundary = bool(np.abs(slacks[near_max]).max() <= theta)
+    min_on_boundary = bool(np.abs(slacks[near_min]).max() <= theta)
     stats = {
         "value_range": value_range,
         "max_candidates": int(near_max.sum()),
@@ -236,6 +231,28 @@ def _check_boundary_extrema(enc: Encoding, samples: np.ndarray, slacks: np.ndarr
     return max_on_boundary or min_on_boundary, stats
 
 
+def _report(enc: Encoding, probe, sample_count: int, seed: int) -> PropertyReport:
+    """All four checks on one encoding over a probe set from _probe_points."""
+    pool, slacks, boundary_count, pair_ends = probe
+    vals = enc.values(pool)
+    end_vals = enc.values(pair_ends.reshape(-1, enc.lp.n)).reshape(pair_ends.shape[:3])
+    sample_vals, sample_slacks = vals[:sample_count], slacks[:sample_count]
+    boundary_vals = vals[sample_count:sample_count + boundary_count]
+    checks = {
+        "continuity": _check_continuity(end_vals),
+        "distinguish_class": _check_distinguish_class(sample_vals, sample_slacks),
+        "distinguish_boundary": _check_distinguish_boundary(sample_vals, sample_slacks, boundary_vals),
+        "boundary_extrema": _check_boundary_extrema(vals, slacks),
+    }
+    return PropertyReport(
+        kind=enc.kind,
+        **{name: ok for name, (ok, _) in checks.items()},
+        stats={**{name: stats for name, (_, stats) in checks.items()}, "boundary_points": boundary_count},
+        sample_count=sample_count,
+        seed=seed,
+    )
+
+
 def check_encoding_properties(
     lp: LinearProgram,
     kind: str,
@@ -245,36 +262,8 @@ def check_encoding_properties(
     bbox=None,
 ) -> PropertyReport:
     """Run all four property checkers against one encoding."""
-    if sample_count < 1000:
-        raise ValidationError("sample_count must be >= 1000")
     enc = make_encoding(lp, kind, excluded_vertices=excluded_vertices)
-    bbox = vertex_bbox(lp) if bbox is None else np.asarray(bbox, dtype=float)
-    samples = sample_box(bbox, sample_count, rng(seed, 0))
-    slacks = min_slack_many(lp, samples)
-    boundary = find_boundary_points(lp, bbox, max(MIN_BOUNDARY_POINTS * 4, sample_count // 8), seed)
-    corners = np.stack(np.meshgrid(*bbox, indexing="ij"), axis=-1).reshape(-1, lp.n)
-    probes = np.vstack([enumerate_vertices(lp).vertices, corners])
-
-    cont, cont_stats = _check_continuity(enc, bbox, boundary, sample_count // 4, seed)
-    cls, cls_stats = _check_distinguish_class(enc, samples, slacks)
-    bnd, bnd_stats = _check_distinguish_boundary(enc, samples, slacks, boundary)
-    ext, ext_stats = _check_boundary_extrema(enc, samples, slacks, boundary, probes)
-    return PropertyReport(
-        kind=kind,
-        continuity=cont,
-        distinguish_class=cls,
-        distinguish_boundary=bnd,
-        boundary_extrema=ext,
-        stats={
-            "continuity": cont_stats,
-            "distinguish_class": cls_stats,
-            "distinguish_boundary": bnd_stats,
-            "boundary_extrema": ext_stats,
-            "boundary_points": len(boundary),
-        },
-        sample_count=sample_count,
-        seed=seed,
-    )
+    return _report(enc, _probe_points(lp, bbox, sample_count, seed), sample_count, seed)
 
 
 def classify_with_witness(report: PropertyReport, values: np.ndarray) -> np.ndarray:
@@ -287,19 +276,15 @@ def classify_with_witness(report: PropertyReport, values: np.ndarray) -> np.ndar
 
 
 def encoding_property_table(lp: LinearProgram, sample_count: int = 4000, seed: int = 0) -> dict:
-    """Reports for all five encodings. The vertex-distance encoding drops
-    the origin from its retained vertex set when the origin is a vertex,
-    mirroring the prior that the optimum of an all-positive program never
-    sits there."""
-    out = {}
-    for kind in ENCODING_KINDS:
-        excluded = None
-        if kind == "vertex-distance":
-            excluded = np.zeros((1, lp.n))
-        out[kind] = check_encoding_properties(
-            lp, kind, sample_count=sample_count, seed=seed, excluded_vertices=excluded
-        )
-    return out
+    """Reports for all five encodings over one shared probe set. The
+    vertex-distance encoding drops the origin from its retained vertex set
+    when the origin is a vertex, mirroring the prior that the optimum of an
+    all-positive program never sits there."""
+    probe = _probe_points(lp, None, sample_count, seed)
+    return {
+        kind: _report(enc, probe, sample_count, seed)
+        for kind, enc in all_encodings(lp, excluded_vertices=np.zeros((1, lp.n))).items()
+    }
 
 
 # --------------------------------------------------------------- directedness

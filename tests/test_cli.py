@@ -198,6 +198,33 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "not a dataset file" in r.stderr
 
+    @pytest.mark.parametrize("keep", [200, -8], ids=["truncated-header", "short-array"])
+    def test_malformed_model_file_exits_2(self, tmp_path, keep):
+        save_flat_model(tmp_path / "full.model")
+        (tmp_path / "trunc.model").write_bytes((tmp_path / "full.model").read_bytes()[:keep])
+        r = run_cli(["grid", "--model", "trunc.model", "--method", "saliency"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "trunc.model is not a model file" in r.stderr
+
+    @pytest.mark.parametrize("text", [
+        "row,col,value\n",
+        "row,col,value\n0,0,1.5\n0,1,abc\n",
+        "row,col,value\n0,0\n",
+    ], ids=["header-only", "non-numeric", "short-row"])
+    def test_malformed_channel_csv_exits_2(self, tmp_path, text):
+        (tmp_path / "x.csv").write_text(text)
+        r = run_cli(["render", "--matrix", "x.csv"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "x.csv is not a channel CSV" in r.stderr
+
+    @pytest.mark.parametrize("text", ["{}", '{"files": {}}', '{"files": '], ids=["empty", "no-channels", "truncated"])
+    def test_malformed_grid_manifest_exits_2(self, tmp_path, text):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "x_manifest.json").write_text(text)
+        r = run_cli(["verify", "--dir", "d"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "x_manifest.json is not a grid manifest" in r.stderr
+
     def test_bad_flag_exits_2(self, tmp_path):
         r = run_cli(["attribute", "--model", "x", "--method", "bogus", "--point", "1,2"], tmp_path)
         assert r.returncode == 2

@@ -5,8 +5,9 @@ strictly increasing targets."""
 import numpy as np
 import pytest
 
+from lpattr import properties
 from lpattr.errors import ConfigurationError, InconclusiveError, ValidationError
-from lpattr.fixtures import lp_box, lp_tri
+from lpattr.fixtures import lp_box, lp_tri, random_positive_lp
 from lpattr.lp import min_slack_many
 from lpattr.nn import AnalyticModel
 from lpattr.properties import (
@@ -109,6 +110,31 @@ def test_reports_deterministic():
 def test_sample_count_floor():
     with pytest.raises(ValidationError):
         check_encoding_properties(lp_box(), "feasibility", sample_count=500)
+    with pytest.raises(ValidationError):
+        encoding_property_table(lp_box(), sample_count=500)
+
+
+@pytest.mark.parametrize("make_lp", [lp_box, lambda: random_positive_lp(3, 4, 3)], ids=["box", "3x4"])
+def test_table_equals_single_encoding_reports(make_lp):
+    # the table's shared probe set must give each kind the report it gets alone
+    lp = make_lp()
+    table = encoding_property_table(lp, seed=BOX_SEED)
+    for kind, report in table.items():
+        excluded = np.zeros((1, lp.n)) if kind == "vertex-distance" else None
+        assert report == check_encoding_properties(lp, kind, seed=BOX_SEED, excluded_vertices=excluded), kind
+
+
+def test_table_bisects_the_boundary_once(monkeypatch):
+    calls = []
+    real = properties.find_boundary_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "find_boundary_points", counted)
+    encoding_property_table(lp_box(), seed=BOX_SEED)
+    assert len(calls) == 1
 
 
 def test_boundary_points_on_boundary():
