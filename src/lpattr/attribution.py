@@ -1,8 +1,9 @@
-"""Four per-point feature-attribution methods plus a directed variant.
+"""Four feature-attribution methods plus a directed variant.
 
-All methods consume any model exposing predict/predict_many and
-input_gradient/input_gradient_many, and return an AttributionVector of one
-value per input feature.
+All methods consume any model exposing predict_many and input_gradient_many.
+Each has one many-point core: ``attribute_many`` maps a point matrix X (N, n)
+to (N, n) values, and ``attribute`` and the per-point functions are one-row
+wrappers over it that add the method tag.
 
 - integrated_gradients: path integral of the gradient from a baseline,
   trapezoid quadrature; sums to F(x) - F(baseline) up to quadrature error.
@@ -14,6 +15,12 @@ value per input feature.
   (x, F(x)); the fitted slope vector is the attribution.
 - directed_feature_permutation: central difference per feature, a
   deterministic, sign-carrying variant of feature_permutation.
+
+A small model call costs about the same whatever its row count, so a core
+sends the model the rows of as many whole points as fit in BATCH_ROWS; a
+bigger point (a 257-row IG path) goes alone. Point i draws its perturbations
+from its own seed, as a one-point call would, so batching changes only
+rounding.
 """
 
 from __future__ import annotations
@@ -76,151 +83,162 @@ class AttributionVector:
         return ",".join(cells)
 
 
-def _point(model, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.input_dim,):
-        raise ConfigurationError(f"point must have shape ({model.input_dim},), got {x.shape}")
-    return x
+BATCH_ROWS = 256  # model rows per call, in whole points
+DIRECTED = "directed-feature-permutation"
 
 
-def _tagged(tag: str, cfg_fields: dict) -> str:
-    return f"{tag}:{digest_of(cfg_fields)[:12]}"
+def _blocks(count: int, rows_per_point: int) -> list[slice]:
+    """Consecutive runs of whole points whose rows fit in BATCH_ROWS, at least one point each."""
+    step = max(1, BATCH_ROWS // rows_per_point)
+    return [slice(s, s + step) for s in range(0, count, step)]
 
 
-def integrated_gradients(model, x, cfg: IGConfig = IGConfig()) -> AttributionVector:
+def _query(fn, rows: np.ndarray) -> np.ndarray:
+    """fn on the rows (N, r, n) of N points, block by block; outputs shaped (N, r, ...)."""
+    N, r, n = rows.shape
+    out = [fn(rows[b].reshape(-1, n)) for b in _blocks(N, r)]
+    return np.concatenate(out).reshape((N, r) + out[0].shape[1:])
+
+
+def _integrated_gradients(model, X: np.ndarray, cfg: IGConfig) -> np.ndarray:
     """(x_i - x'_i) times the path integral of dF/dx_i from baseline x' to x,
-    trapezoid rule over cfg.steps intervals."""
-    x = _point(model, x)
-    baseline = np.zeros_like(x) if cfg.baseline is None else cfg.baseline
-    if baseline.shape != x.shape:
+    trapezoid rule over cfg.steps intervals; one block of paths at a time."""
+    n = X.shape[1]
+    baseline = np.zeros(n) if cfg.baseline is None else cfg.baseline
+    if baseline.shape != (n,):
         raise ConfigurationError("baseline dimension mismatch")
-    alphas = np.linspace(0.0, 1.0, cfg.steps + 1)
-    path = baseline[None, :] + alphas[:, None] * (x - baseline)[None, :]
-    grads = model.input_gradient_many(path)
-    weights = np.full(cfg.steps + 1, 1.0 / cfg.steps)
+    alphas = np.linspace(0.0, 1.0, cfg.steps + 1)[:, None]
+    weights = np.full((cfg.steps + 1, 1), 1.0 / cfg.steps)
     weights[0] = weights[-1] = 0.5 / cfg.steps
-    avg_grad = (weights[:, None] * grads).sum(axis=0)
-    values = (x - baseline) * avg_grad
-    tag = _tagged("integrated-gradients", {"baseline": baseline, "steps": cfg.steps})
-    return AttributionVector(values=values, method=tag, point=x)
+    out = np.empty_like(X)
+    for b in _blocks(len(X), cfg.steps + 1):
+        diff = X[b] - baseline
+        path = baseline + alphas * diff[:, None, :]  # (points, steps + 1, n)
+        grads = model.input_gradient_many(path.reshape(-1, n)).reshape(path.shape)
+        out[b] = diff * (weights * grads).sum(axis=1)
+    return out
 
 
-def saliency(model, x) -> AttributionVector:
-    """The input gradient itself."""
-    x = _point(model, x)
-    return AttributionVector(values=model.input_gradient(x), method="saliency", point=x)
-
-
-def _fp_offsets(n: int, cfg: PerturbConfig) -> np.ndarray:
-    return rng(cfg.seed, 0).uniform(-cfg.radius, cfg.radius, size=(cfg.repeats, n))
-
-
-def feature_permutation(model, x, cfg: PerturbConfig = PerturbConfig(), deltas=None) -> AttributionVector:
-    """Single-feature displacement scores.
-
-    For each feature i and repeat r, draw delta ~ U(-radius, radius), build
-    the two-row batch {x displaced in feature i, x} and swap the feature
-    across the batch; the score contribution is F(x) - F(displaced x).
-    ``deltas`` (repeats, n) overrides the draws, for pinning exact values.
-    """
-    x = _point(model, x)
-    n = x.shape[0]
-    if deltas is None:
-        deltas = _fp_offsets(n, cfg)
-    else:
-        deltas = np.asarray(deltas, dtype=float)
-        if deltas.ndim == 1:
-            deltas = deltas[None, :]
-        if deltas.shape[1] != n:
-            raise ConfigurationError(f"deltas must have shape (repeats, {n})")
-    repeats = deltas.shape[0]
-    base = model.predict(x)
-    # batch all displaced points: repeats * n rows, one feature moved per row
-    moved = np.tile(x, (repeats * n, 1))
-    rows = np.arange(repeats * n)
-    cols = np.tile(np.arange(n), repeats)
-    moved[rows, cols] += deltas.reshape(-1)
-    scores = base - model.predict_many(moved)
-    values = scores.reshape(repeats, n).mean(axis=0)
-    tag = _tagged(
-        "feature-permutation",
-        {"radius": cfg.radius, "repeats": repeats, "seed": cfg.seed},
-    )
-    return AttributionVector(values=values, method=tag, point=x)
+def _feature_permutation(model, X: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Mean over repeats r of F(x) - F(x with feature i moved by deltas[:, r, i])."""
+    N, repeats, n = deltas.shape
+    moved = X[:, None, None, :] + deltas[..., None] * np.eye(n)  # (N, repeats, moved feature, n)
+    scores = _query(model.predict_many, X[:, None, :]) - _query(model.predict_many, moved.reshape(N, -1, n))
+    return scores.reshape(N, repeats, n).mean(axis=1)
 
 
 def fit_local_slopes(X_offsets: np.ndarray, y_offsets: np.ndarray, ridge_lambda: float) -> np.ndarray:
     """Slope vector of the least-squares plane through the origin of the
-    centered cloud: solve (X^T X + lambda I) w = X^T y."""
-    X_offsets = np.asarray(X_offsets, dtype=float)
-    y_offsets = np.asarray(y_offsets, dtype=float)
-    n = X_offsets.shape[1]
-    gram = X_offsets.T @ X_offsets + ridge_lambda * np.eye(n)
-    rhs = X_offsets.T @ y_offsets
-    if ridge_lambda == 0.0 and np.linalg.matrix_rank(X_offsets.T @ X_offsets) < n:
+    centered cloud: solve (X^T X + lambda I) w = X^T y. A stack of clouds
+    X (N, samples, n), y (N, samples) gives one slope vector per cloud."""
+    X = np.asarray(X_offsets, dtype=float)
+    y = np.asarray(y_offsets, dtype=float)
+    n = X.shape[-1]
+    Xt = np.swapaxes(X, -1, -2)
+    gram = Xt @ X
+    if ridge_lambda == 0.0 and (np.linalg.matrix_rank(gram) < n).any():
         raise RankDeficiencyError("offset cloud does not span the input space; need lambda > 0 or more samples")
-    return np.linalg.solve(gram, rhs)
+    return np.linalg.solve(gram + ridge_lambda * np.eye(n), Xt @ y[..., None])[..., 0]
+
+
+def _lime(model, X: np.ndarray, offsets: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    """Ridge-fit slopes from ``offsets`` (N, samples, n) to output changes, centered at (x, F(x))."""
+    y_off = _query(model.predict_many, X[:, None, :] + offsets) - _query(model.predict_many, X[:, None, :])
+    return fit_local_slopes(offsets, y_off, ridge_lambda)
+
+
+def _directed(model, X: np.ndarray, radius: float) -> np.ndarray:
+    """(F(x + d e_i) - F(x - d e_i)) / (2d): deterministic, keeps the sign of
+    the local trend, and equals the unregularized local-surrogate fit on the
+    same 2n single-feature offsets."""
+    step = radius * np.eye(X.shape[1])
+    return (_query(model.predict_many, X[:, None, :] + step)
+            - _query(model.predict_many, X[:, None, :] - step)) / (2.0 * radius)
+
+
+def _draws(method: str, X: np.ndarray, cfg: PerturbConfig, seeds, draws) -> np.ndarray:
+    """(N, count, n) perturbations: ``draws``, or point i's feature_permutation
+    deltas from rng(seeds[i], 0) or lime offsets from rng(seeds[i], 1)."""
+    N, n = X.shape
+    if draws is None:
+        if method == "lime" and cfg.samples < n:
+            raise ConfigurationError("need at least n samples for the local fit")
+        key, count = (0, cfg.repeats) if method == "feature-permutation" else (1, cfg.samples)
+        draws = [rng(s, key).uniform(-cfg.radius, cfg.radius, size=(count, n))
+                 for s in ([cfg.seed] * N if seeds is None else seeds)]
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 3 or draws.shape[0] != N or draws.shape[2] != n:
+        raise ConfigurationError(f"{method} needs one (count, {n}) draw per point, got shape {draws.shape}")
+    return draws
+
+
+def attribute_many(model, X, method: str, ig_cfg: IGConfig | None = None,
+                   perturb_cfg: PerturbConfig | None = None, seeds=None, draws=None) -> np.ndarray:
+    """(N, n) attributions of the rows of X. ``seeds[i]`` replaces
+    perturb_cfg.seed for point i; ``draws`` (N, count, n) replaces the
+    seeded deltas or offsets. The directed variant reads perturb_cfg.radius."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.input_dim or not len(X):
+        raise ConfigurationError(f"points must have shape (N >= 1, {model.input_dim}), got {X.shape}")
+    cfg = perturb_cfg or PerturbConfig()
+    if method == "integrated-gradients":
+        return _integrated_gradients(model, X, ig_cfg or IGConfig())
+    if method == "saliency":
+        return _query(model.input_gradient_many, X[:, None, :])[:, 0]
+    if method == DIRECTED:
+        return _directed(model, X, cfg.radius)
+    if method == "feature-permutation":
+        return _feature_permutation(model, X, _draws(method, X, cfg, seeds, draws))
+    if method == "lime":
+        return _lime(model, X, _draws(method, X, cfg, seeds, draws), cfg.ridge_lambda)
+    raise ConfigurationError(f"unknown method {method!r}; known: {METHOD_TAGS + (DIRECTED,)}")
+
+
+def attribute(model, x, method: str, ig_cfg: IGConfig | None = None, perturb_cfg: PerturbConfig | None = None,
+              draws=None) -> AttributionVector:
+    """One point, tagged with the method and a digest of its config. ``draws``
+    (count, n) replaces the seeded deltas or offsets."""
+    x = np.asarray(x, dtype=float)
+    draws = None if draws is None else np.asarray(draws, dtype=float)[None]
+    values = attribute_many(model, x[None], method, ig_cfg, perturb_cfg, draws=draws)[0]
+    ig_cfg, cfg = ig_cfg or IGConfig(), perturb_cfg or PerturbConfig()
+    baseline = np.zeros(x.shape[0]) if ig_cfg.baseline is None else ig_cfg.baseline
+    if draws is not None:
+        count = draws.shape[1]
+    else:
+        count = cfg.repeats if method == "feature-permutation" else cfg.samples
+    fields = {
+        "saliency": None,
+        "integrated-gradients": {"baseline": baseline, "steps": ig_cfg.steps},
+        DIRECTED: {"radius": cfg.radius},
+        "feature-permutation": {"radius": cfg.radius, "repeats": count, "seed": cfg.seed},
+        "lime": {"radius": cfg.radius, "samples": count, "lambda": cfg.ridge_lambda, "seed": cfg.seed},
+    }[method]
+    tag = method if fields is None else f"{method}:{digest_of(fields)[:12]}"
+    return AttributionVector(values=values, method=tag, point=x)
+
+
+def integrated_gradients(model, x, cfg: IGConfig = IGConfig()) -> AttributionVector:
+    return attribute(model, x, "integrated-gradients", ig_cfg=cfg)
+
+
+def saliency(model, x) -> AttributionVector:
+    return attribute(model, x, "saliency")
+
+
+def feature_permutation(model, x, cfg: PerturbConfig = PerturbConfig(), deltas=None) -> AttributionVector:
+    """``deltas`` (repeats, n), or (n,) for one repeat, pins the offsets."""
+    return attribute(model, x, "feature-permutation", perturb_cfg=cfg,
+                     draws=None if deltas is None else np.atleast_2d(deltas))
 
 
 def lime(model, x, cfg: PerturbConfig = PerturbConfig(), offsets=None) -> AttributionVector:
-    """Local surrogate slopes.
-
-    Draw cfg.samples joint offsets U(-radius, radius)^n, evaluate the model,
-    and ridge-fit a linear map from offsets to output changes, centered at
-    (x, F(x)). ``offsets`` overrides the draws.
-    """
-    x = _point(model, x)
-    n = x.shape[0]
-    if offsets is None:
-        if cfg.samples < n:
-            raise ConfigurationError("need at least n samples for the local fit")
-        offsets = rng(cfg.seed, 1).uniform(-cfg.radius, cfg.radius, size=(cfg.samples, n))
-    else:
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.ndim != 2 or offsets.shape[1] != n:
-            raise ConfigurationError(f"offsets must have shape (samples, {n})")
-    base = model.predict(x)
-    y_off = model.predict_many(x[None, :] + offsets) - base
-    values = fit_local_slopes(offsets, y_off, cfg.ridge_lambda)
-    tag = _tagged(
-        "lime",
-        {"radius": cfg.radius, "samples": offsets.shape[0], "lambda": cfg.ridge_lambda, "seed": cfg.seed},
-    )
-    return AttributionVector(values=values, method=tag, point=x)
+    """``offsets`` (samples, n) pins the joint perturbations."""
+    return attribute(model, x, "lime", perturb_cfg=cfg, draws=offsets)
 
 
 def directed_feature_permutation(model, x, radius: float = 0.1) -> AttributionVector:
-    """Central difference per feature: (F(x + d e_i) - F(x - d e_i)) / (2d).
-
-    Deterministic, keeps the sign of the local trend, and coincides with the
-    unregularized local-surrogate fit on the same four single-feature
-    offsets.
-    """
-    if radius <= 0:
-        raise ConfigurationError("radius must be > 0")
-    x = _point(model, x)
-    n = x.shape[0]
-    plus = np.tile(x, (n, 1))
-    minus = np.tile(x, (n, 1))
-    idx = np.arange(n)
-    plus[idx, idx] += radius
-    minus[idx, idx] -= radius
-    values = (model.predict_many(plus) - model.predict_many(minus)) / (2.0 * radius)
-    tag = _tagged("directed-feature-permutation", {"radius": radius})
-    return AttributionVector(values=values, method=tag, point=x)
-
-
-def attribute(model, x, method: str, ig_cfg: IGConfig | None = None, perturb_cfg: PerturbConfig | None = None) -> AttributionVector:
-    """Dispatch by method tag."""
-    if method == "integrated-gradients":
-        return integrated_gradients(model, x, ig_cfg or IGConfig())
-    if method == "saliency":
-        return saliency(model, x)
-    if method == "feature-permutation":
-        return feature_permutation(model, x, perturb_cfg or PerturbConfig())
-    if method == "lime":
-        return lime(model, x, perturb_cfg or PerturbConfig())
-    raise ConfigurationError(f"unknown method {method!r}; known: {METHOD_TAGS}")
+    return attribute(model, x, DIRECTED, perturb_cfg=PerturbConfig(radius=radius))
 
 
 # Static trait table for the four methods. Neighborhoodness is an ordinal

@@ -10,14 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attribution import (
-    METHOD_TAGS,
-    PerturbConfig,
-    attribute,
-    directed_feature_permutation,
-    feature_permutation,
-    lime,
-)
+from .attribution import DIRECTED, METHOD_TAGS, PerturbConfig, attribute, attribute_many
 from .data import generate_dataset
 from .encodings import make_encoding
 from .errors import ConfigurationError, InconclusiveError, ValidationError
@@ -68,26 +61,19 @@ def experiment_lime_vs_saliency(
     excluded = int(points - keep.sum())
     if keep.sum() < 2:
         raise InconclusiveError("almost all sampled points have a degenerate gradient")
+    kept = np.flatnonzero(keep)
     rows = []
     for ri, radius in enumerate(radii):
-        cosines = []
-        magnitudes = []
-        for pi in np.flatnonzero(keep):
-            cfg = PerturbConfig(
-                radius=radius,
-                samples=samples,
-                ridge_lambda=ridge_lambda,
-                seed=sub_seed(seed, 1, ri, int(pi)),
-            )
-            w = lime(model, pts[pi], cfg).values
-            wn = np.linalg.norm(w)
-            magnitudes.append(wn)
-            if wn > 0.0:
-                cosines.append(float(w @ grads[pi] / (wn * grad_norms[pi])))
+        cfg = PerturbConfig(radius=radius, samples=samples, ridge_lambda=ridge_lambda)
+        seeds = [sub_seed(seed, 1, ri, int(pi)) for pi in kept]
+        W = attribute_many(model, pts[kept], "lime", perturb_cfg=cfg, seeds=seeds)
+        magnitudes = np.linalg.norm(W, axis=1)
+        nz = magnitudes > 0.0
+        cosines = (W * grads[kept]).sum(axis=1)[nz] / (magnitudes * grad_norms[kept])[nz]
         rows.append(
             {
                 "radius": radius,
-                "mean_cosine": float(np.mean(cosines)) if cosines else float("nan"),
+                "mean_cosine": float(np.mean(cosines)) if cosines.size else float("nan"),
                 "mean_magnitude": float(np.mean(magnitudes)),
                 "points_used": int(len(magnitudes)),
             }
@@ -126,15 +112,13 @@ def experiment_directed_fp(model, radius: float = 0.1, points: int = 100, seed: 
     eye = np.eye(n)
     offsets = np.concatenate([radius * eye, -radius * eye], axis=0)
     lsq_cfg = PerturbConfig(radius=radius, ridge_lambda=0.0, seed=0)
-    deviations = np.zeros(points)
-    control = np.zeros(points)
-    for i in range(points):
-        directed = directed_feature_permutation(model, pts[i], radius).values
-        fitted = lime(model, pts[i], lsq_cfg, offsets=offsets).values
-        deviations[i] = np.max(np.abs(directed - fitted))
-        fp_cfg = PerturbConfig(radius=radius, seed=sub_seed(seed, 1, i))
-        undirected = feature_permutation(model, pts[i], fp_cfg).values
-        control[i] = np.max(np.abs(undirected - fitted))
+    directed = attribute_many(model, pts, DIRECTED, perturb_cfg=lsq_cfg)
+    fitted = attribute_many(model, pts, "lime", perturb_cfg=lsq_cfg,
+                            draws=np.broadcast_to(offsets, (points,) + offsets.shape))
+    deviations = np.abs(directed - fitted).max(axis=1)
+    seeds = [sub_seed(seed, 1, i) for i in range(points)]
+    undirected = attribute_many(model, pts, "feature-permutation", perturb_cfg=PerturbConfig(radius=radius), seeds=seeds)
+    control = np.abs(undirected - fitted).max(axis=1)
     return {
         "radius": radius,
         "points": points,

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import IGConfig, PerturbConfig, attribute
+from .attribution import IGConfig, PerturbConfig, attribute_many
 from .errors import ConfigurationError, ValidationError, malformed_file
 from .render import render_heatmap
 from .seeding import sub_seed
@@ -107,15 +107,9 @@ def grid_attribution(
         )
     w, h = spec.resolution
     pts = spec.points()
-    values = np.zeros((w * h, spec.n))
     base_perturb = perturb_cfg or PerturbConfig()
-    needs_seed = method in ("feature-permutation", "lime")
-    if method == "saliency":
-        values = model.input_gradient_many(pts)
-    else:
-        for idx in range(w * h):
-            cfg = replace(base_perturb, seed=sub_seed(seed, idx)) if needs_seed else base_perturb
-            values[idx] = attribute(model, pts[idx], method, ig_cfg=ig_cfg, perturb_cfg=cfg).values
+    seeds = [sub_seed(seed, idx) for idx in range(w * h)] if method in ("feature-permutation", "lime") else None
+    values = attribute_many(model, pts, method, ig_cfg, base_perturb, seeds)
     channels = {}
     for i in range(spec.n):
         channels[f"a{i + 1}"] = values[:, i].reshape(w, h)
@@ -155,10 +149,14 @@ def load_channel_csv(path) -> np.ndarray:
     """Read a channel written by channel_csv_text; a malformed CSV raises ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().strip().split("\n")
-    with malformed_file(path, "channel CSV"):  # an empty table, a short row or a non-number
+    with malformed_file(path, "channel CSV"):  # an empty table, a short row, a non-number, a bad cell
         cells = [(int(r), int(c), float(v)) for r, c, v in (line.split(",") for line in lines[1:])]
         rows = max(r for r, _, _ in cells) + 1
         cols = max(c for _, c, _ in cells) + 1
+        if min(min(r, c) for r, c, _ in cells) < 0:
+            raise ValueError("negative row or col")
+        if len({(r, c) for r, c, _ in cells}) < len(cells):
+            raise ValueError("a cell is listed twice")
     out = np.zeros((cols, rows))
     for r, c, v in cells:
         out[c, r] = v

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import PerturbConfig, attribute
+from .attribution import PerturbConfig, attribute_many
 from .encodings import Encoding, all_encodings, make_encoding
 from .errors import ConfigurationError, InconclusiveError, ValidationError
 from .lp import FEAS_TOL, LinearProgram, enumerate_vertices, min_slack_many, vertex_bbox
@@ -339,10 +339,8 @@ def directedness_test(
         )
     # keep perturbations inside the trained region
     X = sample_box(np.asarray(model.bbox, dtype=float), sample_count, rng(seed, 40), shrink=0.1)
-    A = np.array([
-        attribute(model, x, method_tag, perturb_cfg=PerturbConfig(radius=radius, seed=sub_seed(seed, 41, i))).values
-        for i, x in enumerate(X)
-    ])
+    seeds = [sub_seed(seed, 41, i) for i in range(sample_count)]
+    A = attribute_many(model, X, method_tag, perturb_cfg=PerturbConfig(radius=radius), seeds=seeds)
     oriented = A * signs
     agreement = float((oriented > 0).mean())
     flat = oriented.reshape(-1)

@@ -210,7 +210,9 @@ class TestExitCodes:
         "row,col,value\n",
         "row,col,value\n0,0,1.5\n0,1,abc\n",
         "row,col,value\n0,0\n",
-    ], ids=["header-only", "non-numeric", "short-row"])
+        "row,col,value\n0,0,1.5\n0,1,2.5\n-1,0,9.0\n",
+        "row,col,value\n0,0,1.5\n0,1,2.5\n0,0,9.0\n",
+    ], ids=["header-only", "non-numeric", "short-row", "negative-index", "duplicate-cell"])
     def test_malformed_channel_csv_exits_2(self, tmp_path, text):
         (tmp_path / "x.csv").write_text(text)
         r = run_cli(["render", "--matrix", "x.csv"], tmp_path)
