@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .experiments import (
     experiment_directed_fp,
     experiment_lime_vs_saliency,
 )
-from .fixtures import NAMED, named_lp
+from .fixtures import NAMED
 from .grid import (
     DEFAULT_RESOLUTION,
     GridSpec,
@@ -52,7 +53,7 @@ def _resolve_lp(value: str | None, fallback: str = "box") -> LinearProgram:
     if os.path.exists(name):
         return load_lp(name)
     if name in NAMED:
-        return named_lp(name)
+        return NAMED[name]()
     raise ValidationError(f"--lp {name!r} is neither a file nor one of {sorted(NAMED)}")
 
 
@@ -81,14 +82,9 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _perturb_config(args, seed: int) -> PerturbConfig:
-    return PerturbConfig(
-        radius=args.radius,
-        samples=args.samples,
-        repeats=args.repeats,
-        ridge_lambda=args.ridge_lambda,
-        seed=seed,
-    )
+def _config(cls, args):
+    """A config dataclass filled from the parsed flags of the same names."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 # ------------------------------------------------------------------ handlers
@@ -118,18 +114,7 @@ def _cmd_gen_data(args) -> None:
 
 def _cmd_train(args) -> None:
     ds = load_dataset(args.data)
-    config = ModelConfig(
-        depth=args.depth,
-        hidden_width=args.width,
-        activation=args.activation,
-        loss=args.loss,
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
-    model = train_model(ds, config)
+    model = train_model(ds, _config(ModelConfig, args))
     stem = args.name or os.path.splitext(os.path.basename(args.data))[0] + "-model"
     path = os.path.join(_outdir(args), f"{stem}.model")
     save_model(model, path)
@@ -147,7 +132,7 @@ def _cmd_attribute(args) -> None:
     x = _floats(args.point)
     baseline = None if args.baseline is None else _floats(args.baseline)
     ig_cfg = IGConfig(steps=args.ig_steps, baseline=baseline)
-    vec = attribute(model, x, args.method, ig_cfg=ig_cfg, perturb_cfg=_perturb_config(args, args.seed))
+    vec = attribute(model, x, args.method, ig_cfg=ig_cfg, perturb_cfg=_config(PerturbConfig, args))
     n = model.input_dim
     header = ",".join(
         ["method"] + [f"x{i + 1}" for i in range(n)] + [f"a{i + 1}" for i in range(n)] + ["sum"]
@@ -190,7 +175,7 @@ def _cmd_grid(args) -> None:
         spec,
         seed=args.seed,
         ig_cfg=IGConfig(steps=args.ig_steps),
-        perturb_cfg=_perturb_config(args, args.seed),
+        perturb_cfg=_config(PerturbConfig, args),
     )
     stem = args.name or f"grid-{args.method}"
     out = _outdir(args)
@@ -360,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("train", parents=[common], help="fit the network on a dataset")
     sub.add_argument("--data", required=True, help="dataset CSV from gen-data")
     sub.add_argument("--depth", type=int, default=cfg.depth, help="weight layers")
-    sub.add_argument("--width", type=int, default=cfg.hidden_width, help="hidden width")
+    sub.add_argument("--width", type=int, dest="hidden_width", metavar="WIDTH", default=cfg.hidden_width, help="hidden width")
     sub.add_argument("--activation", default=cfg.activation, help="hidden activation")
     sub.add_argument("--loss", default=cfg.loss, help="training loss")
     sub.add_argument("--learning-rate", type=float, default=cfg.learning_rate)

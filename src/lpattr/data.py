@@ -1,11 +1,16 @@
 """Balanced sample generation over a box around the polytope.
 
-Points are drawn uniformly in the box and routed into a feasible and an
-infeasible pool until both reach half the requested count (stratified
-rejection). If one region is too small to fill its pool within the draw
-budget, the other pool tops it up and the imbalance is recorded. Sample
-order is draw order, so the content is a pure function of
-(lp, encoding, count, bbox, seed).
+Points are drawn uniformly in the box, DRAW_CHUNK at a time, until the
+n_feas feasible and n_infeas infeasible draws reach ceil(count/2) and
+floor(count/2) (stratified rejection), or DRAW_BUDGET_FACTOR * count points
+are drawn. The feasible class then takes
+
+    take_feas = min(n_feas, max(ceil(count/2), count - n_infeas))
+
+points and the infeasible class the other count - take_feas, so a short
+class gives all it has and balance_warning records it. Each class takes its
+first points in draw order and the sample keeps draw order, so the content
+is a pure function of (lp, encoding, count, bbox, seed).
 """
 
 from __future__ import annotations
@@ -88,63 +93,36 @@ def generate_dataset(lp: LinearProgram, encoding: Encoding, count: int, bbox=Non
     want_infeas = count // 2
 
     gen = rng(seed, 0)
-    draws = []
-    classes = []
-    n_feas = 0
-    n_infeas = 0
-    drawn = 0
-    budget = DRAW_BUDGET_FACTOR * max(count, 1)
-    while count > 0 and (n_feas < want_feas or n_infeas < want_infeas) and drawn < budget:
+    draws = [np.empty((0, lp.n))]
+    classes = [np.empty(0, dtype=bool)]
+    n_feas = n_infeas = 0
+    while (n_feas < want_feas or n_infeas < want_infeas) and n_feas + n_infeas < DRAW_BUDGET_FACTOR * count:
         chunk = gen.uniform(bbox[:, 0], bbox[:, 1], size=(DRAW_CHUNK, lp.n))
         mask = feasible_mask(lp, chunk)
         draws.append(chunk)
         classes.append(mask)
         n_feas += int(mask.sum())
         n_infeas += int((~mask).sum())
-        drawn += DRAW_CHUNK
+    if count > 0 and n_feas == 0:
+        raise CoverageError("no feasible point found in the sampling box")
 
-    if count == 0:
-        X = np.zeros((0, lp.n))
-        y = np.zeros(0)
-        feas_sel = np.zeros(0, dtype=bool)
-        balance_warning = False
-    else:
-        pool = np.concatenate(draws)
-        mask = np.concatenate(classes)
-        feas_idx = np.flatnonzero(mask)
-        infeas_idx = np.flatnonzero(~mask)
-        if len(feas_idx) == 0:
-            raise CoverageError("no feasible point found in the sampling box")
-        take_feas = min(want_feas, len(feas_idx))
-        take_infeas = min(want_infeas, len(infeas_idx))
-        balance_warning = take_feas < want_feas or take_infeas < want_infeas
-        # top up the short pool from the other region, in draw order
-        short = count - (take_feas + take_infeas)
-        if short > 0:
-            if take_feas < want_feas:
-                take_infeas = min(take_infeas + short, len(infeas_idx))
-            else:
-                take_feas = min(take_feas + short, len(feas_idx))
-        if take_feas + take_infeas < count:
-            raise CoverageError(
-                f"draw budget exhausted with only {take_feas + take_infeas} of {count} samples"
-            )
-        sel = np.sort(np.concatenate([feas_idx[:take_feas], infeas_idx[:take_infeas]]))
-        X = pool[sel]
-        feas_sel = mask[sel]
-        y = encoding.values(X)
-
+    # The draws hold at least count points: the loop stops with a half
+    # unfilled only after DRAW_BUDGET_FACTOR * count draws.
+    take_feas = min(n_feas, max(want_feas, count - n_infeas))
+    feasible = np.concatenate(classes)
+    picks = [np.flatnonzero(feasible)[:take_feas], np.flatnonzero(~feasible)[:count - take_feas]]
+    X = np.concatenate(draws)[np.sort(np.concatenate(picks))]
     train_idx, val_idx = _split_indices(count, seed)
     return Dataset(
         X=X,
-        y=y,
+        y=encoding.values(X),
         lp_digest=lp.digest(),
         kind=encoding.kind,
         excluded_vertices=encoding.excluded_vertices,
         bbox=bbox,
         seed=seed,
-        feasible_fraction=float(feas_sel.mean()) if count > 0 else 0.0,
-        balance_warning=balance_warning,
+        feasible_fraction=take_feas / count if count else 0.0,
+        balance_warning=n_feas < want_feas or n_infeas < want_infeas,
         train_indices=train_idx,
         val_indices=val_idx,
     )
@@ -205,7 +183,9 @@ def _read_dataset(csv_path: str) -> Dataset:
     with open(csv_path + ".meta.json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     if meta["count"] != len(rows):
-        raise ValidationError("metadata count does not match the CSV row count")
+        raise ValueError("metadata count does not match the CSV row count")
+    if sorted(meta["train_indices"] + meta["val_indices"]) != list(range(len(rows))):
+        raise ValueError(f"train and val indices do not partition the {len(rows)} rows")
     ex = meta["excluded_vertices"]
     return Dataset(
         X=data[:, :n],

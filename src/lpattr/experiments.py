@@ -170,7 +170,7 @@ def _instance_entry(lp, model, x: np.ndarray, label: str, seed: int) -> dict:
     }
 
 
-def experiment_5dim(lp, seed: int = 0, count: int = 100_000, config: ModelConfig | None = None) -> dict:
+def experiment_5dim(lp, seed: int = 0, count: int = 100_000) -> dict:
     """Feasibility study on a five-feature, three-constraint program: train,
     report held-out accuracy, then attribute one feasible and one infeasible
     instance under all four methods, annotating constraint slacks and
@@ -179,8 +179,7 @@ def experiment_5dim(lp, seed: int = 0, count: int = 100_000, config: ModelConfig
         raise ValidationError(f"expected a 5-feature, 3-constraint program, got n={lp.n}, m={lp.m}")
     enc = make_encoding(lp, "feasibility")
     ds = generate_dataset(lp, enc, count, seed=seed)
-    cfg = config or ModelConfig(seed=seed)
-    model = train_model(ds, cfg)
+    model = train_model(ds, ModelConfig(seed=seed))
     val_X, val_y = ds.val_arrays()
     acc = accuracy(model, val_X, val_y)
     feas_i, infeas_i = _pick_instances(lp, val_X)

@@ -57,9 +57,3 @@ NAMED = {
     "5d": lp_5d,
 }
 
-
-def named_lp(name: str) -> LinearProgram:
-    try:
-        return NAMED[name]()
-    except KeyError:
-        raise KeyError(f"unknown program name {name!r}; known: {sorted(NAMED)}") from None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .attribution import IGConfig, PerturbConfig, attribute_many
 from .errors import ConfigurationError, ValidationError, malformed_file
 from .render import render_heatmap
 from .seeding import sub_seed
-from .serialize import digest_of, format_float
+from .serialize import digest_of, floats_to_lists, format_float
 
 DEFAULT_RESOLUTION = (100, 73)
 
@@ -67,16 +67,6 @@ class GridSpec:
         pts[:, self.dim_y] = np.tile(ys, w)
         return pts
 
-    def to_dict(self) -> dict:
-        return {
-            "dim_x": self.dim_x,
-            "dim_y": self.dim_y,
-            "x_range": list(self.x_range),
-            "y_range": list(self.y_range),
-            "fixed_values": [float(v) for v in self.fixed_values],
-            "resolution": list(self.resolution),
-        }
-
 
 @dataclass
 class GridResult:
@@ -118,7 +108,7 @@ def grid_attribution(
     prov = {
         "method": method,
         "seed": seed,
-        "spec": spec.to_dict(),
+        "spec": floats_to_lists(asdict(spec)),
         "config_digest": digest_of(
             {
                 "ig": None if ig_cfg is None else {"steps": ig_cfg.steps, "baseline": ig_cfg.baseline},

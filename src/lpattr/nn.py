@@ -195,8 +195,12 @@ class AnalyticModel(_PointQueries):
         return np.asarray(self.grad(self._check_points(X)), dtype=float)
 
 
+def _layer_sizes(input_dim: int, config: ModelConfig) -> list[int]:
+    return [input_dim] + [config.hidden_width] * (config.depth - 1) + [1]
+
+
 def _init_layers(input_dim: int, config: ModelConfig, gen: np.random.Generator):
-    sizes = [input_dim] + [config.hidden_width] * (config.depth - 1) + [1]
+    sizes = _layer_sizes(input_dim, config)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
@@ -325,6 +329,11 @@ def load_model(path) -> Model:
             buf = fh.read(8 * int(np.prod(shape)))
             data[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         config = ModelConfig(**header["config"])
+        sizes = _layer_sizes(header["input_dim"], config)
+        shapes = {f"W{i}": (sizes[i + 1], sizes[i]) for i in range(config.depth)}
+        shapes.update({f"b{i}": (sizes[i + 1],) for i in range(config.depth)}, bbox=(sizes[0], 2))
+        if {name: a.shape for name, a in data.items()} != shapes:
+            raise ValueError(f"array shapes do not fit input_dim {sizes[0]} and the config's layers {sizes}")
         return Model(
             weights=[data[f"W{i}"] for i in range(config.depth)],
             biases=[data[f"b{i}"] for i in range(config.depth)],

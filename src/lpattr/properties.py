@@ -123,14 +123,14 @@ def find_boundary_points(lp: LinearProgram, bbox, count: int, seed: int) -> np.n
     raise InconclusiveError("bisection failed to localize the boundary")
 
 
-def _probe_points(lp: LinearProgram, bbox, sample_count: int, seed: int):
+def _probe_points(lp: LinearProgram, sample_count: int, seed: int):
     """``(pool, pool_slacks, boundary_count, pair_ends)``: the uniform
     samples, boundary points and anchors (vertices, then box corners)
     stacked, their min slacks (0 on the boundary points), and both ends of
     each continuity pair, shape (len(CONTINUITY_SCALES), 2, pairs, n)."""
     if sample_count < 1000:
         raise ValidationError("sample_count must be >= 1000")
-    bbox = vertex_bbox(lp) if bbox is None else np.asarray(bbox, dtype=float)
+    bbox = vertex_bbox(lp)
     samples = sample_box(bbox, sample_count, rng(seed, 0))
     boundary = find_boundary_points(lp, bbox, max(MIN_BOUNDARY_POINTS * 4, sample_count // 8), seed)
     # Anchors pin the sampled extrema to the true ones, which random samples
@@ -259,11 +259,10 @@ def check_encoding_properties(
     sample_count: int = 4000,
     seed: int = 0,
     excluded_vertices=None,
-    bbox=None,
 ) -> PropertyReport:
     """Run all four property checkers against one encoding."""
     enc = make_encoding(lp, kind, excluded_vertices=excluded_vertices)
-    return _report(enc, _probe_points(lp, bbox, sample_count, seed), sample_count, seed)
+    return _report(enc, _probe_points(lp, sample_count, seed), sample_count, seed)
 
 
 def classify_with_witness(report: PropertyReport, values: np.ndarray) -> np.ndarray:
@@ -280,7 +279,7 @@ def encoding_property_table(lp: LinearProgram, sample_count: int = 4000, seed: i
     vertex-distance encoding drops the origin from its retained vertex set
     when the origin is a vertex, mirroring the prior that the optimum of an
     all-positive program never sits there."""
-    probe = _probe_points(lp, None, sample_count, seed)
+    probe = _probe_points(lp, sample_count, seed)
     return {
         kind: _report(enc, probe, sample_count, seed)
         for kind, enc in all_encodings(lp, excluded_vertices=np.zeros((1, lp.n))).items()
@@ -290,16 +289,14 @@ def encoding_property_table(lp: LinearProgram, sample_count: int = 4000, seed: i
 # --------------------------------------------------------------- directedness
 
 
-def build_monotone_harness(n: int = 2, seed: int = 0, samples: int = 6000, config=None):
+def build_monotone_harness(n: int = 2, seed: int = 0):
     """Model trained on the strictly increasing target y = sum(x) over the
     unit box; every true partial derivative is +1."""
     from .nn import ModelConfig, fit_arrays
 
     bbox = np.column_stack([np.zeros(n), np.ones(n)])
-    X = sample_box(bbox, samples, rng(seed, 50))
-    y = X.sum(axis=1)
-    cfg = config if config is not None else ModelConfig(seed=seed)
-    return fit_arrays(X, y, cfg, bbox)
+    X = sample_box(bbox, 6000, rng(seed, 50))
+    return fit_arrays(X, X.sum(axis=1), ModelConfig(seed=seed), bbox)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,13 @@ user would hit them.
 import json
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from lpattr.nn import Model, ModelConfig, save_model
+from lpattr.attribution import PerturbConfig, attribute
+from lpattr.nn import Model, ModelConfig, load_model, save_model
 
 from conftest import lpattr_subprocess_env
 
@@ -150,16 +152,46 @@ class TestPipeline:
         assert (tmp_path / "files" / "data-feasibility.csv").exists()
 
 
-def save_flat_model(path):
-    cfg = ModelConfig(depth=2, hidden_width=4)
+class TestFlagsReachConfig:
+    def test_train_flags_fill_model_config(self, tmp_path):
+        want = ModelConfig(depth=3, hidden_width=8, activation="tanh", loss="logistic",
+                           learning_rate=0.01, momentum=0.5, epochs=2, batch_size=32, seed=4)
+        assert all(getattr(want, f.name) != getattr(ModelConfig(), f.name) for f in fields(ModelConfig))
+        r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "200", "--out", "files"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(
+            ["train", "--data", "files/data-feasibility.csv", "--depth", "3", "--width", "8",
+             "--activation", "tanh", "--loss", "logistic", "--learning-rate", "0.01",
+             "--momentum", "0.5", "--epochs", "2", "--batch-size", "32", "--seed", "4", "--out", "files"],
+            tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        assert load_model(tmp_path / "files" / "data-feasibility-model.model").config == want
+
+    def test_attribute_flags_fill_perturb_config(self, workdir):
+        r = run_cli(
+            ["attribute", "--model", MODEL, "--method", "lime", "--point", "1.0,1.5",
+             "--radius", "0.3", "--samples", "40", "--ridge-lambda", "0.25", "--seed", "9"],
+            workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        cfg = PerturbConfig(radius=0.3, samples=40, ridge_lambda=0.25, seed=9)
+        vec = attribute(load_model(workdir / MODEL), np.array([1.0, 1.5]), "lime", perturb_cfg=cfg)
+        assert r.stdout.strip().split("\n")[1] == vec.csv_row()
+
+
+def save_flat_model(path, depth=2, **changes):
+    """A zero network of ``depth`` layers on two features; ``changes``
+    overwrite Model fields, so the header can disagree with the arrays."""
+    sizes = [2] + [4] * (depth - 1) + [1]
     model = Model(
-        weights=[np.zeros((4, 2)), np.zeros((1, 4))],
-        biases=[np.zeros(4), np.zeros(1)],
-        config=cfg,
+        weights=[np.zeros((fan_out, fan_in)) for fan_in, fan_out in zip(sizes, sizes[1:])],
+        biases=[np.zeros(fan_out) for fan_out in sizes[1:]],
+        config=ModelConfig(depth=depth, hidden_width=4),
         input_dim=2,
         bbox=np.array([[0.0, 1.0], [0.0, 1.0]]),
     )
-    save_model(model, path)
+    save_model(replace(model, **changes), path)
 
 
 class TestExitCodes:
@@ -187,24 +219,41 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "not a program file" in r.stderr
 
-    def test_malformed_dataset_file_exits_2(self, tmp_path):
-        r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "20", "--out", "files"], tmp_path)
+    @pytest.mark.parametrize("split_edit", [
+        None,
+        lambda meta: meta["train_indices"].__setitem__(0, 999),
+        lambda meta: meta["val_indices"].append(meta["train_indices"][0]),
+    ], ids=["non-numeric", "index-out-of-range", "index-in-both-splits"])
+    def test_malformed_dataset_file_exits_2(self, tmp_path, split_edit):
+        r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "40", "--out", "files"], tmp_path)
         assert r.returncode == 0, r.stderr
         csv = tmp_path / "files" / "data-feasibility.csv"
-        lines = csv.read_text().splitlines()
-        lines[3] = "abc," + lines[3].split(",", 1)[1]
-        csv.write_text("\n".join(lines) + "\n")
+        if split_edit is None:
+            lines = csv.read_text().splitlines()
+            lines[3] = "abc," + lines[3].split(",", 1)[1]
+            csv.write_text("\n".join(lines) + "\n")
+        else:
+            sidecar = tmp_path / "files" / "data-feasibility.csv.meta.json"
+            meta = json.loads(sidecar.read_text())
+            split_edit(meta)
+            sidecar.write_text(json.dumps(meta))
         r = run_cli(["train", "--data", "files/data-feasibility.csv"], tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "not a dataset file" in r.stderr
 
-    @pytest.mark.parametrize("keep", [200, -8], ids=["truncated-header", "short-array"])
-    def test_malformed_model_file_exits_2(self, tmp_path, keep):
-        save_flat_model(tmp_path / "full.model")
-        (tmp_path / "trunc.model").write_bytes((tmp_path / "full.model").read_bytes()[:keep])
-        r = run_cli(["grid", "--model", "trunc.model", "--method", "saliency"], tmp_path)
+    @pytest.mark.parametrize("keep, depth, changes", [
+        (200, 2, {}),
+        (-8, 2, {}),
+        (None, 2, {"input_dim": 3}),
+        (None, 3, {"config": ModelConfig(depth=2, hidden_width=4)}),
+        (None, 2, {"bbox": np.tile([0.0, 1.0], (3, 1))}),
+    ], ids=["truncated-header", "short-array", "input-dim-mismatch", "depth-mismatch", "bbox-shape"])
+    def test_malformed_model_file_exits_2(self, tmp_path, keep, depth, changes):
+        save_flat_model(tmp_path / "full.model", depth, **changes)
+        (tmp_path / "bad.model").write_bytes((tmp_path / "full.model").read_bytes()[:keep])
+        r = run_cli(["attribute", "--model", "bad.model", "--method", "saliency", "--point", "0.5,0.5"], tmp_path)
         assert r.returncode == 2
-        assert r.stderr.startswith("error:") and "trunc.model is not a model file" in r.stderr
+        assert r.stderr.startswith("error:") and "bad.model is not a model file" in r.stderr
 
     @pytest.mark.parametrize("text", [
         "row,col,value\n",

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from lpattr.data import generate_dataset, label_residual, load_dataset, save_dataset
+from lpattr.data import (
+    DRAW_BUDGET_FACTOR,
+    DRAW_CHUNK,
+    generate_dataset,
+    label_residual,
+    load_dataset,
+    save_dataset,
+)
 from lpattr.encodings import make_encoding
 from lpattr.errors import CoverageError, ValidationError
 from lpattr.fixtures import lp_box, lp_tri
-from lpattr.lp import feasible_mask
+from lpattr.lp import FEAS_TOL, feasible_mask, vertex_bbox
+from lpattr.seeding import rng
 
 
 BOX_BBOX = np.array([[0.0, 3.0], [0.0, 4.5]])
@@ -131,3 +139,52 @@ def test_save_is_byte_deterministic(tmp_path):
     save_dataset(generate_dataset(lp, enc, 400, seed=23), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert (tmp_path / "a.csv.meta.json").read_bytes() == (tmp_path / "b.csv.meta.json").read_bytes()
+
+
+def oracle_draw(lp, bbox, count, seed):
+    """The sample generate_dataset should return, rebuilt without its code:
+    replay the seeded stream chunk by chunk, classify rows by A x <= b and
+    x >= 0, then hand out the two halves in draw order, a short class giving
+    all it has and the other making up the rest."""
+    gen = rng(seed, 0)
+    want = {True: (count + 1) // 2, False: count // 2}
+    rows, feasible = np.empty((0, lp.n)), np.empty(0, dtype=bool)
+    while len(rows) < DRAW_BUDGET_FACTOR * count and (
+        feasible.sum() < want[True] or (~feasible).sum() < want[False]
+    ):
+        chunk = gen.uniform(bbox[:, 0], bbox[:, 1], size=(DRAW_CHUNK, lp.n))
+        inside = (chunk @ lp.A.T <= lp.b + FEAS_TOL).all(axis=1) & (chunk >= -FEAS_TOL).all(axis=1)
+        rows, feasible = np.vstack([rows, chunk]), np.concatenate([feasible, inside])
+    have = {True: int(feasible.sum()), False: int((~feasible).sum())}
+    short = [cls for cls in (True, False) if have[cls] < want[cls]]
+    quota = dict(want)
+    for cls in short:
+        quota[cls], quota[not cls] = have[cls], count - have[cls]
+    taken = {True: 0, False: 0}
+    keep = []
+    for i, cls in enumerate(feasible.tolist()):
+        if taken[cls] < quota[cls]:
+            taken[cls] += 1
+            keep.append(i)
+    return rows[keep], quota[True], bool(short)
+
+
+@pytest.mark.parametrize("lp_fn, bbox, count, warned", [
+    (lp_box, None, 300, False),
+    (lp_box, None, 7, False),
+    (lp_box, None, 1, False),
+    (lp_box, None, 0, False),
+    (lp_tri, [[0.0, 40.0], [0.0, 40.0]], 300, True),  # few feasible draws
+    (lp_box, [[0.0, 2.002], [0.0, 3.002]], 300, True),  # few infeasible draws
+], ids=["balanced", "odd-count", "count-1", "count-0", "short-feasible", "short-infeasible"])
+def test_draw_matches_oracle(lp_fn, bbox, count, warned):
+    lp = lp_fn()
+    box = vertex_bbox(lp) if bbox is None else np.array(bbox)
+    X, take_feas, short = oracle_draw(lp, box, count, seed=5)
+    ds = generate_dataset(lp, make_encoding(lp, "feasibility"), count, bbox=bbox, seed=5)
+    assert short == warned
+    np.testing.assert_array_equal(ds.X, X)
+    assert ds.X.shape == (count, lp.n)
+    assert ds.feasible_fraction == (take_feas / count if count else 0.0)
+    assert ds.balance_warning is warned
+    np.testing.assert_array_equal(ds.y, feasible_mask(lp, X))
