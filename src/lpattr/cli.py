@@ -21,7 +21,7 @@ from . import __version__
 from .attribution import METHOD_TAGS, IGConfig, PerturbConfig, attribute
 from .data import generate_dataset, label_residual, load_dataset, save_dataset
 from .encodings import ENCODING_KINDS, make_encoding
-from .errors import LpattrError, ValidationError
+from .errors import ConfigurationError, LpattrError, ValidationError
 from .experiments import (
     experiment_5dim,
     experiment_directed_fp,
@@ -149,6 +149,9 @@ def _cmd_attribute(args) -> None:
 def _cmd_grid(args) -> None:
     model = load_model(args.model)
     n = model.input_dim
+    for flag, dim in (("--dim-x", args.dim_x), ("--dim-y", args.dim_y)):
+        if not 0 <= dim < n:
+            raise ConfigurationError(f"{flag} {dim} is out of range for a {n}-feature model")
     if args.fixed is not None:
         fixed = _floats(args.fixed)
         if fixed.size != n:

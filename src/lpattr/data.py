@@ -10,7 +10,9 @@ are drawn. The feasible class then takes
 points and the infeasible class the other count - take_feas, so a short
 class gives all it has and balance_warning records it. Each class takes its
 first points in draw order and the sample keeps draw order, so the content
-is a pure function of (lp, encoding, count, bbox, seed).
+is a pure function of (lp, encoding, count, bbox, seed). While drawing,
+each class keeps only its first ``count`` draws, the most it can take, so
+memory grows with count, not with the number of draws.
 """
 
 from __future__ import annotations
@@ -99,8 +101,10 @@ def generate_dataset(lp: LinearProgram, encoding: Encoding, count: int, bbox=Non
     while (n_feas < want_feas or n_infeas < want_infeas) and n_feas + n_infeas < DRAW_BUDGET_FACTOR * count:
         chunk = gen.uniform(bbox[:, 0], bbox[:, 1], size=(DRAW_CHUNK, lp.n))
         mask = feasible_mask(lp, chunk)
-        draws.append(chunk)
-        classes.append(mask)
+        # a class takes at most count rows, so only its first count draws are kept
+        keep = np.where(mask, np.cumsum(mask) + n_feas, np.cumsum(~mask) + n_infeas) <= count
+        draws.append(chunk[keep])
+        classes.append(mask[keep])
         n_feas += int(mask.sum())
         n_infeas += int((~mask).sum())
     if count > 0 and n_feas == 0:

@@ -5,6 +5,10 @@ held constant. Everything here is exact polytope arithmetic: feasibility,
 constraint slacks, vertex enumeration, Euclidean projection onto the
 feasible set, and optimizing ``c.x`` over the vertices.
 
+Two results depend on the program alone and are memoised on it: the vertex
+set (``enumerate_vertices``) and the factored active sets that the
+projection tries (``project_feasible_many``).
+
 Throughout, "constraints" means the rows of ``A x <= b``; the nonnegativity
 bounds ``x >= 0`` are tracked separately and only enter feasibility and the
 vertex/projection geometry, never the slack values.
@@ -14,7 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -50,6 +56,7 @@ class LinearProgram:
     b: np.ndarray
     positivity_flag: bool = field(init=False)
     _vertex_set: VertexSet | None = field(default=None, init=False, repr=False, compare=False)
+    _active_sets: _ActiveSets | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -73,6 +80,10 @@ class LinearProgram:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "positivity_flag", bool((c > 0).all() and (A > 0).all() and (b > 0).all()))
+
+    def __getstate__(self):
+        # the active-set memo holds a live subset iterator; a copy refactors on demand
+        return {**self.__dict__, "_active_sets": None}
 
     @property
     def n(self) -> int:
@@ -119,13 +130,20 @@ def slack_values(lp: LinearProgram, X) -> np.ndarray:
     return lp.b[None, :] - _as_points(lp, X) @ lp.A.T
 
 
+def _row_min(M: np.ndarray) -> np.ndarray:
+    """Minimum of each row of an (N, k) array, k >= 1, by one np.minimum
+    per column. Rows here are 1 to a few dozen wide, where this beats
+    ``M.min(axis=1)``; min is exact, so the bits are the same."""
+    return reduce(np.minimum, M.T)
+
+
 def min_slack_many(lp: LinearProgram, X) -> np.ndarray:
-    return slack_values(lp, X).min(axis=1)
+    return _row_min(slack_values(lp, X))
 
 
 def feasible_mask(lp: LinearProgram, X) -> np.ndarray:
     X = _as_points(lp, X)
-    return (min_slack_many(lp, X) >= -FEAS_TOL) & (X >= -FEAS_TOL).all(axis=1)
+    return (min_slack_many(lp, X) >= -FEAS_TOL) & (_row_min(X) >= -FEAS_TOL)
 
 
 def is_feasible(lp: LinearProgram, x) -> bool:
@@ -145,26 +163,26 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
     ``m`` constraint rows and the ``n`` axis planes ``x_i = 0``; nonsingular
     systems are solved, infeasible or duplicate solutions dropped. The
     polytope must be bounded, otherwise the result is incomplete by nature
-    and an empty result raises. Computed once per program; the array is read-only.
+    and an empty result raises. The solutions go into one preallocated
+    (C(m+n, n), n) array with a validity mask. Computed once per program and
+    memoised on it, like the projection's active sets; the array is read-only.
     """
     if lp._vertex_set is not None:
         return lp._vertex_set
     n, m = lp.n, lp.m
     normals = np.vstack([lp.A, np.eye(n)])
     offsets = np.concatenate([lp.b, np.zeros(n)])
-    candidates = []
-    for rows in combinations(range(m + n), n):
-        M = normals[list(rows)]
-        rhs = offsets[list(rows)]
+    solutions = np.empty((comb(m + n, n), n))
+    valid = np.zeros(len(solutions), dtype=bool)
+    for i, rows in enumerate(combinations(range(m + n), n)):
         try:
-            v = np.linalg.solve(M, rhs)
+            solutions[i] = np.linalg.solve(normals[list(rows)], offsets[list(rows)])
         except np.linalg.LinAlgError:
             continue  # singular choice of hyperplanes, skip
-        if np.isfinite(v).all():
-            candidates.append(v)
+        valid[i] = np.isfinite(solutions[i]).all()
     kept: list[np.ndarray] = []
-    if candidates:
-        cand = np.array(candidates)
+    if valid.any():
+        cand = solutions[valid]
         cand = cand[feasible_mask(lp, cand)]
         # lexicographic order makes dedup and downstream tie-breaks deterministic
         order = np.lexsort(cand.T[::-1])
@@ -182,6 +200,37 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
     return lp._vertex_set
 
 
+class _ActiveSets:
+    """The full-rank active sets of one program in the projection's trial
+    order (by size k = 1..n, then lexicographically), each factored once as
+    ``(G, pinv(G), pinv(G) @ h)``. Sets are factored as a projection first
+    reaches them, so a call that certifies every row early factors no more."""
+
+    def __init__(self, lp: LinearProgram):
+        self.G_all = np.vstack([lp.A, -np.eye(lp.n)])
+        self.h_all = np.concatenate([lp.b, np.zeros(lp.n)])
+        self.subsets = chain.from_iterable(
+            combinations(range(len(self.h_all)), k) for k in range(1, lp.n + 1))
+        self.factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def __iter__(self):
+        i = 0
+        while i < len(self.factors) or self._factor_next():
+            yield self.factors[i]
+            i += 1
+
+    def _factor_next(self) -> bool:
+        """Factor the next full-rank set; False when none is left."""
+        for rows in self.subsets:
+            G, h = self.G_all[list(rows)], self.h_all[list(rows)]
+            if np.linalg.matrix_rank(G) == len(rows):
+                # pinv(G) = G^T (G G^T)^-1, better conditioned than inverting G G^T
+                pinv = np.linalg.pinv(G)
+                self.factors.append((G, pinv, pinv @ h))
+                return True
+        return False
+
+
 def project_feasible_many(lp: LinearProgram, X) -> np.ndarray:
     """Euclidean projection of each row of ``X`` onto ``{A x <= b, x >= 0}``.
 
@@ -190,32 +239,28 @@ def project_feasible_many(lp: LinearProgram, X) -> np.ndarray:
     ``G_S y = h_S`` is ``y = x - G_S^T mu``, ``mu = (G_S G_S^T)^-1 (G_S x - h_S)``;
     when ``mu >= 0`` and ``y`` is feasible, these are the KKT conditions of
     the unique projection. Feasible rows come back unchanged; a row that no
-    active set certifies raises ProjectionFailureError.
+    active set certifies raises ProjectionFailureError. The factors of each
+    active set are memoised on the program next to its vertex set, so only
+    the first call to reach a set pays for its SVDs.
     """
     X = _as_points(lp, X)
     out = X.copy()
     left = np.flatnonzero(~feasible_mask(lp, X))
-    G_all = np.vstack([lp.A, -np.eye(lp.n)])
-    h_all = np.concatenate([lp.b, np.zeros(lp.n)])
-    active_sets = chain.from_iterable(combinations(range(len(h_all)), k) for k in range(1, lp.n + 1))
-    for rows in active_sets:
-        if left.size == 0:
-            break
-        G, h = G_all[list(rows)], h_all[list(rows)]
-        if np.linalg.matrix_rank(G) < len(rows):
-            continue
+    if left.size == 0:
+        return out
+    if lp._active_sets is None:
+        object.__setattr__(lp, "_active_sets", _ActiveSets(lp))
+    for G, pinv, pinv_h in lp._active_sets:
         x = X[left]
-        # pinv(G) = G^T (G G^T)^-1, better conditioned than inverting G G^T
-        pinv = np.linalg.pinv(G)
-        mu = (x - pinv @ h) @ pinv
+        mu = (x - pinv_h) @ pinv
         y = x - mu @ G
-        ok = (mu >= -FEAS_TOL).all(axis=1)
+        ok = _row_min(mu) >= -FEAS_TOL
         ok[ok] = feasible_mask(lp, y[ok])
         out[left[ok]] = y[ok]
         left = left[~ok]
-    if left.size:
-        raise ProjectionFailureError(f"no active set certifies the projection of {left.size} row(s)")
-    return out
+        if left.size == 0:
+            return out
+    raise ProjectionFailureError(f"no active set certifies the projection of {left.size} row(s)")
 
 
 def project_feasible(lp: LinearProgram, x) -> np.ndarray:

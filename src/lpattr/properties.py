@@ -190,6 +190,17 @@ def _check_distinguish_class(vals: np.ndarray, slacks: np.ndarray):
     return True, {**stats, "threshold": threshold, "orientation": orientation}
 
 
+def _min_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """min |a_i - b_j| over all pairs, from the two neighbours of each a_i in
+    sorted b. Rounding keeps a - b monotone in b, so this equals the minimum
+    of the (len(a), len(b)) broadcast bit for bit."""
+    s = np.sort(b)
+    i = np.searchsorted(s, a)
+    below = s[np.maximum(i - 1, 0)]
+    above = s[np.minimum(i, len(s) - 1)]
+    return float(np.minimum(np.abs(a - below), np.abs(a - above)).min())
+
+
 def _check_distinguish_boundary(vals: np.ndarray, slacks: np.ndarray, b_vals: np.ndarray):
     """Pass iff no off-boundary sample's value comes within a small fraction
     of the value range of any boundary point's value."""
@@ -198,7 +209,7 @@ def _check_distinguish_boundary(vals: np.ndarray, slacks: np.ndarray, b_vals: np
     all_vals = np.concatenate([b_vals, off_vals])
     value_range = float(all_vals.max() - all_vals.min())
     rho = VALUE_COLLISION_FRACTION * max(value_range, 1e-12)
-    min_gap = float(np.abs(b_vals[:, None] - off_vals[None, :]).min())
+    min_gap = _min_gap(b_vals, off_vals)
     ok = min_gap >= rho
     stats = {
         "boundary_value_interval": (float(b_vals.min()), float(b_vals.max())),

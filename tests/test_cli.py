@@ -255,6 +255,15 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "bad.model is not a model file" in r.stderr
 
+    @pytest.mark.parametrize("dims", [["--dim-x", "5"], ["--dim-y", "2"], ["--dim-x", "-1"]],
+                             ids=["dim-x-5", "dim-y-2", "dim-x-negative"])
+    def test_swept_dimension_out_of_range_exits_2(self, tmp_path, dims):
+        save_flat_model(tmp_path / "flat.model")
+        r = run_cli(["grid", "--model", "flat.model", "--method", "saliency", *dims], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+        assert f"{dims[0]} {dims[1]} is out of range for a 2-feature model" in r.stderr
+
     @pytest.mark.parametrize("text", [
         "row,col,value\n",
         "row,col,value\n0,0,1.5\n0,1,abc\n",

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lpattr import data
 from lpattr.data import (
     DRAW_BUDGET_FACTOR,
     DRAW_CHUNK,
@@ -11,7 +14,7 @@ from lpattr.data import (
 )
 from lpattr.encodings import make_encoding
 from lpattr.errors import CoverageError, ValidationError
-from lpattr.fixtures import lp_box, lp_tri
+from lpattr.fixtures import lp_box, lp_tri, random_positive_lp
 from lpattr.lp import FEAS_TOL, feasible_mask, vertex_bbox
 from lpattr.seeding import rng
 
@@ -188,3 +191,28 @@ def test_draw_matches_oracle(lp_fn, bbox, count, warned):
     assert ds.feasible_fraction == (take_feas / count if count else 0.0)
     assert ds.balance_warning is warned
     np.testing.assert_array_equal(ds.y, feasible_mask(lp, X))
+
+
+def test_thin_draw_keeps_only_the_rows_it_selects(monkeypatch):
+    # The 8x10 polytope fills a small share of its tight vertex box, so a
+    # 5,000-row vertex-distance draw runs through many chunks, about 16 MB of
+    # draws in all, and keeps at most `count` rows of each class.
+    lp = random_positive_lp(8, 10, 3)
+    bbox = vertex_bbox(lp, 1.0)
+    enc = make_encoding(lp, "vertex-distance", excluded_vertices=np.zeros((1, lp.n)))
+    chunks = []
+    monkeypatch.setattr(data, "feasible_mask", lambda lp_, X: chunks.append(len(X)) or feasible_mask(lp_, X))
+    tracemalloc.start()
+    try:
+        ds = generate_dataset(lp, enc, 5000, bbox=bbox, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    drawn = sum(chunks)
+    assert len(chunks) >= 20 and drawn * lp.n * 8 >= 10e6
+    assert peak < drawn * lp.n * 8 / 4
+    X, take_feas, short = oracle_draw(lp, bbox, 5000, seed=5)
+    np.testing.assert_array_equal(ds.X, X)
+    assert ds.y.tobytes() == enc.values(X).tobytes()
+    assert ds.feasible_fraction == take_feas / 5000
+    assert ds.balance_warning is short

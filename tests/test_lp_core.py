@@ -6,7 +6,10 @@ with its own dedup strategy, a dense-grid argmin projection oracle, and the
 variational-inequality certificate of Euclidean projections.
 """
 
+import copy
 import itertools
+import pickle
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,12 +20,15 @@ from lpattr.lp import (
     FEAS_TOL,
     LinearProgram,
     enumerate_vertices,
+    feasible_mask,
     is_feasible,
     load_lp,
     min_slack,
+    min_slack_many,
     project_feasible,
     project_feasible_many,
     save_lp,
+    slack_values,
     solve_on_vertices,
     vertex_bbox,
 )
@@ -127,6 +133,40 @@ def test_feasibility_matches_slack_and_sign_condition():
 
 
 # ---------------------------------------------------------------- vertices
+
+
+def probe_points(lp, kind):
+    """Random points around the vertex box, points exactly on facets and
+    axis planes (vertices, facet hits of the box, zeroed coordinates), or
+    no points at all."""
+    if kind == "empty":
+        return np.empty((0, lp.n))
+    bbox = vertex_bbox(lp, 1.5)
+    X = np.random.Generator(np.random.PCG64(8)).uniform(bbox[:, 0] - 0.5, bbox[:, 1], size=(500, lp.n))
+    if kind == "random":
+        return X
+    X[::2, 0] = 0.0
+    X[1::4, -1] = -0.0
+    facets = np.vstack([enumerate_vertices(lp).vertices, X])
+    if lp.m == lp.n and (lp.A == np.eye(lp.n)).all():  # the box: x_i = b_i exactly
+        facets[: len(X), 0] = lp.b[0]
+    return facets
+
+
+@pytest.mark.parametrize("kind", ["random", "facets", "empty"])
+@pytest.mark.parametrize("make_lp", [lp_box, lp_tri, lambda: random_positive_lp(4, 5, 3),
+                                     lambda: random_positive_lp(6, 8, 3)],
+                         ids=["box", "tri", "4x5", "6x8"])
+def test_column_row_minima_match_axis_reductions(make_lp, kind):
+    lp = make_lp()
+    X = probe_points(lp, kind)
+    slacks = slack_values(lp, X)
+    reference = slacks.min(axis=1)
+    assert min_slack_many(lp, X).tobytes() == reference.tobytes()
+    mask = feasible_mask(lp, X)
+    assert mask.tobytes() == ((reference >= -FEAS_TOL) & (X >= -FEAS_TOL).all(axis=1)).tobytes()
+    if kind == "facets":
+        assert (reference == 0).any() and mask.any() and not mask.all()
 
 
 def test_box_vertices():
@@ -261,6 +301,33 @@ def test_projection_onto_empty_set_raises():
     lp = LinearProgram(c=np.ones(2), A=np.array([[1.0, 0.0]]), b=np.array([-1.0]))
     with pytest.raises(ProjectionFailureError):
         project_feasible_many(lp, [[0.5, 0.5]])
+
+
+def test_active_set_factors_are_memoised(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda G: calls.append(G.shape) or pinv(G))
+    lp = random_positive_lp(4, 5, seed=3)
+    bbox = vertex_bbox(lp, 2.0)
+    gen = np.random.Generator(np.random.PCG64(12))
+    X, Y = (gen.uniform(bbox[:, 0], bbox[:, 1], size=(300, 4)) for _ in range(2))
+    cold = project_feasible_many(lp, X)
+    factored = len(calls)
+    # at most one pinv per full-rank active set of 1 to 4 of the 9 halfspaces
+    assert 0 < factored == len(lp._active_sets.factors) <= sum(comb(9, k) for k in range(1, 5))
+    assert project_feasible_many(lp, X).tobytes() == cold.tobytes()
+    assert len(calls) == factored
+    # fresh points reuse the factored sets and factor only sets no call reached before
+    warm = project_feasible_many(lp, Y)
+    assert len(calls) == len(lp._active_sets.factors)
+    again = random_positive_lp(4, 5, seed=3)
+    assert again._active_sets is None
+    assert project_feasible_many(again, Y).tobytes() == warm.tobytes()
+    assert_projection_certified(lp, Y, warm)
+    # a copy of a warm program starts without the memo and projects to the same bytes
+    for clone in (pickle.loads(pickle.dumps(lp)), copy.deepcopy(lp)):
+        assert clone._active_sets is None and clone.digest() == lp.digest()
+        assert project_feasible_many(clone, Y).tobytes() == warm.tobytes()
 
 
 def test_vertex_enumeration_is_memoized_and_read_only():

@@ -150,6 +150,23 @@ def test_boundary_search_inconclusive_off_boundary():
         find_boundary_points(lp_box(), [[0, 0.5], [0, 0.5]], 200, seed=3)
 
 
+@pytest.mark.parametrize("case", ["random", "ties", "outside", "single"])
+def test_sorted_gap_equals_broadcast(case):
+    gen = np.random.Generator(np.random.PCG64(31))
+    if case == "random":
+        a, b = gen.normal(size=300), gen.normal(size=2000)
+    elif case == "ties":  # repeated values within and across the arrays, so some gaps are 0
+        a, b = gen.integers(-20, 20, size=300) / 4.0, gen.integers(-20, 20, size=2000) / 4.0
+    elif case == "outside":  # boundary values below, above and inside the off-value range
+        a = np.concatenate([gen.uniform(-9, -5, 40), gen.uniform(5, 9, 40), gen.uniform(-1, 1, 20)])
+        b = gen.uniform(-1, 1, size=500)
+    else:
+        a, b = np.array([0.3]), np.array([-1e-300])
+    broadcast = float(np.abs(a[:, None] - b[None, :]).min())
+    assert properties._min_gap(a, b) == broadcast
+    assert properties._min_gap(a, b) == properties._min_gap(a[::-1], b[::-1])
+
+
 def test_property_names_cover_report(box_table):
     row = box_table["feasibility"].as_row()
     assert set(row) == set(PROPERTY_NAMES)
