@@ -25,6 +25,7 @@ rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,8 @@ class PerturbConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.radius) and math.isfinite(self.ridge_lambda)):
+            raise ConfigurationError("radius and ridge_lambda must be finite")
         if self.radius <= 0:
             raise ConfigurationError("radius must be > 0")
         if self.samples < 1 or self.repeats < 1:

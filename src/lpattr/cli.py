@@ -59,9 +59,12 @@ def _resolve_lp(value: str | None, fallback: str = "box") -> LinearProgram:
 
 def _floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        vals = np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError:
         raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"expected finite numbers, got {text!r}")
+    return vals
 
 
 def _pair(text: str, flag: str) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from .encodings import Encoding, make_encoding
 from .errors import CoverageError, ValidationError, malformed_file
 from .lp import LinearProgram, enumerate_vertices, feasible_mask, vertex_bbox
 from .seeding import rng
-from .serialize import format_float
+from .serialize import canonical_json, format_float
 
 DRAW_CHUNK = 8192
 DRAW_BUDGET_FACTOR = 50
@@ -69,6 +69,8 @@ def _resolve_bbox(lp: LinearProgram, bbox) -> np.ndarray:
     bbox = np.asarray(bbox, dtype=float)
     if bbox.shape != (lp.n, 2):
         raise ValidationError(f"bbox must have shape ({lp.n}, 2), got {bbox.shape}")
+    if not np.isfinite(bbox).all():
+        raise ValidationError("bbox bounds must be finite")
     if (bbox[:, 0] >= bbox[:, 1]).any():
         raise ValidationError("bbox lows must be below highs")
     if (bbox[:, 0] < 0).any():
@@ -167,8 +169,7 @@ def save_dataset(ds: Dataset, csv_path) -> None:
         "val_indices": ds.val_indices.tolist(),
     }
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(canonical_json(meta) + "\n")
 
 
 def load_dataset(csv_path) -> Dataset:

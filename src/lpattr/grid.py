@@ -20,7 +20,7 @@ from .attribution import IGConfig, PerturbConfig, attribute_many
 from .errors import ConfigurationError, ValidationError, malformed_file
 from .render import render_heatmap
 from .seeding import sub_seed
-from .serialize import digest_of, floats_to_lists, format_float
+from .serialize import canonical_json, digest_of, floats_to_lists, format_float, sha256_hex
 
 DEFAULT_RESOLUTION = (100, 73)
 
@@ -147,6 +147,8 @@ def load_channel_csv(path) -> np.ndarray:
             raise ValueError("negative row or col")
         if len({(r, c) for r, c, _ in cells}) < len(cells):
             raise ValueError("a cell is listed twice")
+        if len(cells) != rows * cols:  # no repeats, so every cell is present
+            raise ValueError(f"{len(cells)} cells listed for a {rows}x{cols} table")
     out = np.zeros((cols, rows))
     for r, c, v in cells:
         out[c, r] = v
@@ -162,8 +164,6 @@ def image_rows(channel: np.ndarray) -> np.ndarray:
 def save_grid_result(result: GridResult, out_dir, stem: str) -> dict:
     """One CSV and one PPM per channel plus a manifest with sha256 digests.
     Returns the manifest."""
-    from .serialize import sha256_hex
-
     os.makedirs(out_dir, exist_ok=True)
     files = {}
     for name in sorted(result.channels):
@@ -172,9 +172,7 @@ def save_grid_result(result: GridResult, out_dir, stem: str) -> dict:
         text = channel_csv_text(result.channels[name])
         with open(os.path.join(out_dir, csv_name), "w", encoding="utf-8") as fh:
             fh.write(text)
-        render_heatmap(image_rows(result.channels[name]), os.path.join(out_dir, ppm_name))
-        with open(os.path.join(out_dir, ppm_name), "rb") as fh:
-            ppm_bytes = fh.read()
+        ppm_bytes = render_heatmap(image_rows(result.channels[name]), os.path.join(out_dir, ppm_name))
         files[csv_name] = sha256_hex(text)
         files[ppm_name] = sha256_hex(ppm_bytes)
     manifest = {
@@ -185,16 +183,13 @@ def save_grid_result(result: GridResult, out_dir, stem: str) -> dict:
         "files": files,
     }
     with open(os.path.join(out_dir, f"{stem}_manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(canonical_json(manifest) + "\n")
     return manifest
 
 
 def verify_grid_files(out_dir, stem: str) -> dict:
     """Recheck a saved grid: file hashes match the manifest and the sum
     channel equals the feature channels added in index order, exactly."""
-    from .serialize import sha256_hex
-
     manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh, malformed_file(manifest_path, "grid manifest"):
         manifest = json.load(fh)

@@ -7,7 +7,7 @@ feasible set, and optimizing ``c.x`` over the vertices.
 
 Two results depend on the program alone and are memoised on it: the vertex
 set (``enumerate_vertices``) and the factored active sets that the
-projection tries (``project_feasible_many``).
+projection tries (``project_feasible_many``); pickles and copies carry both.
 
 Throughout, "constraints" means the rows of ``A x <= b``; the nonnegativity
 bounds ``x >= 0`` are tracked separately and only enter feasibility and the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -48,15 +48,14 @@ class LinearProgram:
     c : (n,) cost vector
     A : (m, n) constraint matrix
     b : (m,) constraint bounds
-    positivity_flag : True iff every entry of c, A and b is strictly positive.
     """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    positivity_flag: bool = field(init=False)
     _vertex_set: VertexSet | None = field(default=None, init=False, repr=False, compare=False)
-    _active_sets: _ActiveSets | None = field(default=None, init=False, repr=False, compare=False)
+    # active-set rows -> (G, pinv(G), pinv(G) @ h), or None when G is rank-deficient
+    _active_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -79,11 +78,6 @@ class LinearProgram:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "positivity_flag", bool((c > 0).all() and (A > 0).all() and (b > 0).all()))
-
-    def __getstate__(self):
-        # the active-set memo holds a live subset iterator; a copy refactors on demand
-        return {**self.__dict__, "_active_sets": None}
 
     @property
     def n(self) -> int:
@@ -163,32 +157,28 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
     ``m`` constraint rows and the ``n`` axis planes ``x_i = 0``; nonsingular
     systems are solved, infeasible or duplicate solutions dropped. The
     polytope must be bounded, otherwise the result is incomplete by nature
-    and an empty result raises. The solutions go into one preallocated
-    (C(m+n, n), n) array with a validity mask. Computed once per program and
-    memoised on it, like the projection's active sets; the array is read-only.
+    and an empty result raises. Solutions fill a NaN-initialised (C(m+n, n), n)
+    array, whose finite rows are kept. Computed once per program and memoised
+    on it, like the projection's active sets; the array is read-only.
     """
     if lp._vertex_set is not None:
         return lp._vertex_set
     n, m = lp.n, lp.m
     normals = np.vstack([lp.A, np.eye(n)])
     offsets = np.concatenate([lp.b, np.zeros(n)])
-    solutions = np.empty((comb(m + n, n), n))
-    valid = np.zeros(len(solutions), dtype=bool)
+    solutions = np.full((comb(m + n, n), n), np.nan)
     for i, rows in enumerate(combinations(range(m + n), n)):
         try:
             solutions[i] = np.linalg.solve(normals[list(rows)], offsets[list(rows)])
         except np.linalg.LinAlgError:
             continue  # singular choice of hyperplanes, skip
-        valid[i] = np.isfinite(solutions[i]).all()
+    cand = solutions[np.isfinite(solutions).all(axis=1)]
+    cand = cand[feasible_mask(lp, cand)]
+    # lexicographic order makes dedup and downstream tie-breaks deterministic
     kept: list[np.ndarray] = []
-    if valid.any():
-        cand = solutions[valid]
-        cand = cand[feasible_mask(lp, cand)]
-        # lexicographic order makes dedup and downstream tie-breaks deterministic
-        order = np.lexsort(cand.T[::-1])
-        for v in cand[order]:
-            if not kept or min(np.linalg.norm(v - w) for w in kept) > VERTEX_DEDUP_TOL:
-                kept.append(v)
+    for v in cand[np.lexsort(cand.T[::-1])]:
+        if not kept or min(np.linalg.norm(v - w) for w in kept) > VERTEX_DEDUP_TOL:
+            kept.append(v)
     if not kept:
         raise EmptyVertexSetError(
             "no feasible vertex found; the feasible set is empty or the enumeration is incomplete"
@@ -200,35 +190,22 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
     return lp._vertex_set
 
 
-class _ActiveSets:
-    """The full-rank active sets of one program in the projection's trial
-    order (by size k = 1..n, then lexicographically), each factored once as
-    ``(G, pinv(G), pinv(G) @ h)``. Sets are factored as a projection first
-    reaches them, so a call that certifies every row early factors no more."""
-
-    def __init__(self, lp: LinearProgram):
-        self.G_all = np.vstack([lp.A, -np.eye(lp.n)])
-        self.h_all = np.concatenate([lp.b, np.zeros(lp.n)])
-        self.subsets = chain.from_iterable(
-            combinations(range(len(self.h_all)), k) for k in range(1, lp.n + 1))
-        self.factors: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def __iter__(self):
-        i = 0
-        while i < len(self.factors) or self._factor_next():
-            yield self.factors[i]
-            i += 1
-
-    def _factor_next(self) -> bool:
-        """Factor the next full-rank set; False when none is left."""
-        for rows in self.subsets:
-            G, h = self.G_all[list(rows)], self.h_all[list(rows)]
-            if np.linalg.matrix_rank(G) == len(rows):
+def _active_set_factors(lp: LinearProgram):
+    """The factors of each full-rank active set in the projection's trial
+    order (by size k = 1..n, then lexicographically). A set is factored the
+    first time a projection reaches it and read from ``lp._active_sets``
+    after that, so a call that certifies every row early factors no more."""
+    G_all = np.vstack([lp.A, -np.eye(lp.n)])
+    h_all = np.concatenate([lp.b, np.zeros(lp.n)])
+    for k in range(1, lp.n + 1):
+        for rows in combinations(range(len(h_all)), k):
+            if rows not in lp._active_sets:
+                G = G_all[list(rows)]
                 # pinv(G) = G^T (G G^T)^-1, better conditioned than inverting G G^T
-                pinv = np.linalg.pinv(G)
-                self.factors.append((G, pinv, pinv @ h))
-                return True
-        return False
+                pinv = np.linalg.pinv(G) if np.linalg.matrix_rank(G) == k else None
+                lp._active_sets[rows] = None if pinv is None else (G, pinv, pinv @ h_all[list(rows)])
+            if lp._active_sets[rows] is not None:
+                yield lp._active_sets[rows]
 
 
 def project_feasible_many(lp: LinearProgram, X) -> np.ndarray:
@@ -248,9 +225,7 @@ def project_feasible_many(lp: LinearProgram, X) -> np.ndarray:
     left = np.flatnonzero(~feasible_mask(lp, X))
     if left.size == 0:
         return out
-    if lp._active_sets is None:
-        object.__setattr__(lp, "_active_sets", _ActiveSets(lp))
-    for G, pinv, pinv_h in lp._active_sets:
+    for G, pinv, pinv_h in _active_set_factors(lp):
         x = X[left]
         mu = (x - pinv_h) @ pinv
         y = x - mu @ G

@@ -14,6 +14,7 @@ Design points that the rest of the package leans on:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigurationError, TrainingDivergenceError, ValidationError, malformed_file
 from .seeding import rng
-from .serialize import floats_to_lists
+from .serialize import canonical_json
 
 ACTIVATIONS = ("smooth-softplus", "tanh", "piecewise-linear")
 LOSSES = ("squared-error", "logistic")
@@ -52,6 +53,8 @@ class ModelConfig:
             raise ConfigurationError(f"activation must be one of {ACTIVATIONS}")
         if self.loss not in LOSSES:
             raise ConfigurationError(f"loss must be one of {LOSSES}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigurationError("learning_rate must be finite")
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("learning_rate, epochs, batch_size must be positive")
         if not 0 <= self.momentum < 1:
@@ -305,13 +308,12 @@ def save_model(model: Model, path) -> None:
     header = {
         "config": asdict(model.config),
         "input_dim": model.input_dim,
-        "training_summary": floats_to_lists(model.training_summary),
+        "training_summary": model.training_summary,
         "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
     }
-    blob = json.dumps(floats_to_lists(header), sort_keys=True, separators=(",", ":"))
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(blob.encode("utf-8"))
+        fh.write(canonical_json(header).encode("utf-8"))
         fh.write(b"\n")
         for _, a in arrays:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())

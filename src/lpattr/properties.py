@@ -10,7 +10,7 @@ predicate over a box around the polytope:
 - distinguish_class: the value alone separates feasible from infeasible
   points; the emitted witness is a threshold plus orientation.
 - distinguish_boundary: the value alone separates boundary points
-  (min_slack = 0) from clearly-off-boundary points.
+  (min_slack = 0, in closed form on sampled segments) from clearly-off-boundary points.
 - boundary_extrema: at least one of the encoding's two extremes (max or
   min) is attained only near the constraint boundary.
 
@@ -30,7 +30,7 @@ import numpy as np
 from .attribution import PerturbConfig, attribute_many
 from .encodings import Encoding, all_encodings, make_encoding
 from .errors import ConfigurationError, InconclusiveError, ValidationError
-from .lp import FEAS_TOL, LinearProgram, enumerate_vertices, min_slack_many, vertex_bbox
+from .lp import FEAS_TOL, LinearProgram, enumerate_vertices, min_slack_many, slack_values, vertex_bbox
 from .seeding import rng, sample_box, sub_seed
 
 # Expected property table, keyed by encoding kind. The vertex-distance row
@@ -74,8 +74,6 @@ PROPERTY_NAMES = ("continuity", "distinguish_class", "distinguish_boundary", "bo
 CONTINUITY_SCALES = (1e-2, 1e-3, 1e-4)
 CONTINUITY_FACTOR = 10.0
 MIN_BOUNDARY_POINTS = 50
-BOUNDARY_SLACK_TOL = 1e-12
-BISECTION_STEPS = 100  # halvings of each boundary-straddling segment
 OFF_BOUNDARY_FRACTION = 0.02  # of the slack scale
 VALUE_COLLISION_FRACTION = 1e-3  # of the value range
 EXTREMUM_BAND_FRACTION = 0.01  # of the value range
@@ -98,8 +96,10 @@ class PropertyReport:
 
 
 def find_boundary_points(lp: LinearProgram, bbox, count: int, seed: int) -> np.ndarray:
-    """Points with min_slack = 0 (to BOUNDARY_SLACK_TOL), by sign bisection
-    along segments between sampled points of opposite slack sign."""
+    """Points with min_slack = 0, one per segment from a sample with min_slack
+    > 1e-6 to one with min_slack < -1e-6. Along ``lo + t d`` slack i falls at
+    rate ``(A d)_i``, so min_slack is concave in t and crosses 0 once, at
+    ``t = min over (A d)_i > 0 of slack_i(lo) / (A d)_i``."""
     bbox = np.asarray(bbox, dtype=float)
     X = sample_box(bbox, max(count * 20, 2000), rng(seed, 90))
     ms = min_slack_many(lp, X)
@@ -110,17 +110,10 @@ def find_boundary_points(lp: LinearProgram, bbox, count: int, seed: int) -> np.n
         raise InconclusiveError(
             f"only {pairs} boundary-straddling pairs found; the box barely intersects the boundary"
         )
-    lo, hi = pos[:pairs], neg[:pairs]
-    # the midpoint is tested before the first halving and after each one
-    for _ in range(BISECTION_STEPS + 1):
-        mid = 0.5 * (lo + hi)
-        s = min_slack_many(lp, mid)
-        if np.abs(s).max() <= BOUNDARY_SLACK_TOL:
-            return mid
-        take_lo = s > 0
-        lo[take_lo] = mid[take_lo]
-        hi[~take_lo] = mid[~take_lo]
-    raise InconclusiveError("bisection failed to localize the boundary")
+    lo, d = pos[:pairs], neg[:pairs] - pos[:pairs]
+    rate = d @ lp.A.T  # positive on some row of every segment, as its end is infeasible
+    t = np.divide(slack_values(lp, lo), rate, out=np.full_like(rate, np.inf), where=rate > 0).min(axis=1)
+    return lo + t[:, None] * d
 
 
 def _probe_points(lp: LinearProgram, sample_count: int, seed: int):

@@ -33,13 +33,15 @@ def colormap_bytes(matrix: np.ndarray) -> np.ndarray:
     return rgb
 
 
-def render_heatmap(matrix: np.ndarray, path) -> None:
-    """Write the matrix as a P6 PPM, one pixel per entry, row 0 on top."""
+def render_heatmap(matrix: np.ndarray, path) -> bytes:
+    """Write the matrix as a P6 PPM, one pixel per entry, row 0 on top.
+    Returns the bytes written."""
     rgb = colormap_bytes(matrix)
     h, w = rgb.shape[:2]
+    data = f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes()
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+        fh.write(data)
+    return data
 
 
 def read_ppm(path) -> np.ndarray:

@@ -179,6 +179,13 @@ def test_lime_rank_deficiency():
     assert np.isfinite(av.values).all()
 
 
+@pytest.mark.parametrize("field", ["radius", "ridge_lambda"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_perturb_config_rejects_non_finite(field, value):
+    with pytest.raises(ConfigurationError):
+        PerturbConfig(**{field: value})
+
+
 def test_lime_needs_enough_samples():
     with pytest.raises(ConfigurationError):
         lime(linear_model([1.0, 1.0]), [0.0, 0.0], PerturbConfig(samples=1))

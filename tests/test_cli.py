@@ -264,13 +264,37 @@ class TestExitCodes:
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
         assert f"{dims[0]} {dims[1]} is out of range for a 2-feature model" in r.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["gen-data", "--encoding", "feasibility", "--bbox", "0,inf,0,3"],
+        ["gen-data", "--encoding", "feasibility", "--bbox", "0,2,nan,3"],
+        ["attribute", "--method", "lime", "--point", "0.5,0.5", "--radius", "nan"],
+        ["attribute", "--method", "lime", "--point", "0.5,0.5", "--ridge-lambda", "inf"],
+        ["attribute", "--method", "saliency", "--point", "nan,1"],
+        ["exp-lime-sal", "--radii", "0.5,nan"],
+        ["grid", "--method", "saliency", "--x-range", "0,inf"],
+    ], ids=["bbox-inf", "bbox-nan", "radius-nan", "ridge-lambda-inf", "point-nan", "radii-nan", "x-range-inf"])
+    def test_non_finite_number_exits_2(self, tmp_path, args):
+        save_flat_model(tmp_path / "flat.model")
+        model = [] if args[0] == "gen-data" else ["--model", "flat.model"]
+        r = run_cli([*args, *model], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+
+    def test_non_finite_learning_rate_exits_2(self, tmp_path):
+        r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "40", "--out", "files"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(["train", "--data", "files/data-feasibility.csv", "--learning-rate", "nan"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "learning_rate must be finite" in r.stderr
+
     @pytest.mark.parametrize("text", [
         "row,col,value\n",
         "row,col,value\n0,0,1.5\n0,1,abc\n",
         "row,col,value\n0,0\n",
         "row,col,value\n0,0,1.5\n0,1,2.5\n-1,0,9.0\n",
         "row,col,value\n0,0,1.5\n0,1,2.5\n0,0,9.0\n",
-    ], ids=["header-only", "non-numeric", "short-row", "negative-index", "duplicate-cell"])
+        "row,col,value\n0,0,1.5\n1,1,2.5\n",
+    ], ids=["header-only", "non-numeric", "short-row", "negative-index", "duplicate-cell", "missing-cell"])
     def test_malformed_channel_csv_exits_2(self, tmp_path, text):
         (tmp_path / "x.csv").write_text(text)
         r = run_cli(["render", "--matrix", "x.csv"], tmp_path)

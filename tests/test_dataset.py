@@ -101,6 +101,9 @@ def test_bbox_validation():
         generate_dataset(lp, enc, 10, bbox=np.array([[1.0, 0.0], [0.0, 1.0]]), seed=1)
     with pytest.raises(ValidationError):
         generate_dataset(lp, enc, 10, bbox=np.array([[-1.0, 1.0], [0.0, 1.0]]), seed=1)
+    for bound in (np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            generate_dataset(lp, enc, 10, bbox=np.array([[0.0, bound], [0.0, 1.0]]), seed=1)
 
 
 def test_coverage_of_polytope_bounding_box():

@@ -90,12 +90,6 @@ def test_lp_validation():
         LinearProgram(c=np.array([1.0, np.inf]), A=np.ones((2, 2)), b=np.ones(2))
 
 
-def test_positivity_flag():
-    assert not lp_box().positivity_flag  # A has zero entries
-    assert lp_tri().positivity_flag
-    assert random_positive_lp(3, 4, seed=1).positivity_flag
-
-
 def test_is_feasible_box():
     lp = lp_box()
     assert is_feasible(lp, [1, 1])
@@ -313,21 +307,27 @@ def test_active_set_factors_are_memoised(monkeypatch):
     X, Y = (gen.uniform(bbox[:, 0], bbox[:, 1], size=(300, 4)) for _ in range(2))
     cold = project_feasible_many(lp, X)
     factored = len(calls)
+
+    def full_rank_sets(program):
+        return sum(f is not None for f in program._active_sets.values())
+
     # at most one pinv per full-rank active set of 1 to 4 of the 9 halfspaces
-    assert 0 < factored == len(lp._active_sets.factors) <= sum(comb(9, k) for k in range(1, 5))
+    assert 0 < factored == full_rank_sets(lp) <= sum(comb(9, k) for k in range(1, 5))
     assert project_feasible_many(lp, X).tobytes() == cold.tobytes()
     assert len(calls) == factored
     # fresh points reuse the factored sets and factor only sets no call reached before
     warm = project_feasible_many(lp, Y)
-    assert len(calls) == len(lp._active_sets.factors)
+    assert len(calls) == full_rank_sets(lp)
     again = random_positive_lp(4, 5, seed=3)
-    assert again._active_sets is None
+    assert again._active_sets == {}
     assert project_feasible_many(again, Y).tobytes() == warm.tobytes()
     assert_projection_certified(lp, Y, warm)
-    # a copy of a warm program starts without the memo and projects to the same bytes
+    # a copy of a warm program carries the memo, factors nothing and projects to the same bytes
     for clone in (pickle.loads(pickle.dumps(lp)), copy.deepcopy(lp)):
-        assert clone._active_sets is None and clone.digest() == lp.digest()
+        assert clone._active_sets.keys() == lp._active_sets.keys() and clone.digest() == lp.digest()
+        before = len(calls)
         assert project_feasible_many(clone, Y).tobytes() == warm.tobytes()
+        assert len(calls) == before
 
 
 def test_vertex_enumeration_is_memoized_and_read_only():

@@ -131,6 +131,9 @@ def test_config_validation():
         ModelConfig(loss="hinge")
     with pytest.raises(ConfigurationError):
         ModelConfig(momentum=1.0)
+    for rate in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            ModelConfig(learning_rate=rate)
 
 
 def test_dimension_mismatch():

@@ -7,8 +7,8 @@ import pytest
 
 from lpattr import properties
 from lpattr.errors import ConfigurationError, InconclusiveError, ValidationError
-from lpattr.fixtures import lp_box, lp_tri, random_positive_lp
-from lpattr.lp import min_slack_many
+from lpattr.fixtures import lp_5d, lp_box, lp_tri, random_positive_lp
+from lpattr.lp import min_slack_many, vertex_bbox
 from lpattr.nn import AnalyticModel
 from lpattr.properties import (
     EXPECTED_ENCODING_TRAITS,
@@ -21,6 +21,7 @@ from lpattr.properties import (
     find_boundary_points,
 )
 from lpattr.encodings import make_encoding
+from lpattr.seeding import rng, sample_box
 
 BOX_SEED = 404
 
@@ -141,7 +142,45 @@ def test_boundary_points_on_boundary():
     lp = lp_tri()
     pts = find_boundary_points(lp, [[0, 6], [0, 6]], 200, seed=3)
     assert len(pts) >= 50
-    assert np.abs(min_slack_many(lp, pts)).max() <= 1e-12
+    assert np.abs(min_slack_many(lp, pts)).max() <= 1e-14
+
+
+def straddling_pairs(lp, bbox, count, seed):
+    """The feasible and infeasible ends of the segments find_boundary_points
+    searches, drawn the same way."""
+    X = sample_box(bbox, max(count * 20, 2000), rng(seed, 90))
+    ms = min_slack_many(lp, X)
+    pos, neg = X[ms > 1e-6], X[ms < -1e-6]
+    pairs = min(len(pos), len(neg), count)
+    return pos[:pairs], neg[:pairs]
+
+
+def bisected_boundary_points(lp, lo, hi):
+    """Reference: halve every segment until each midpoint has |min_slack| <= 1e-12."""
+    lo, hi = lo.copy(), hi.copy()
+    for _ in range(101):
+        mid = 0.5 * (lo + hi)
+        s = min_slack_many(lp, mid)
+        if np.abs(s).max() <= 1e-12:
+            return mid
+        lo[s > 0], hi[s <= 0] = mid[s > 0], mid[s <= 0]
+    raise AssertionError("bisection did not converge")
+
+
+@pytest.mark.parametrize("make_lp", [lp_tri, lp_box, lp_5d, lambda: random_positive_lp(3, 4, 3)],
+                         ids=["tri", "box", "5d", "3x4"])
+def test_boundary_points_on_segments_match_bisection(make_lp):
+    lp = make_lp()
+    bbox = vertex_bbox(lp)
+    pts = find_boundary_points(lp, bbox, 500, seed=3)
+    lo, hi = straddling_pairs(lp, bbox, 500, seed=3)
+    assert pts.shape == lo.shape and len(pts) >= 50
+    # each point is lo + t (hi - lo) with t in [0, 1]
+    d = hi - lo
+    t = ((pts - lo) * d).sum(axis=1) / (d * d).sum(axis=1)
+    assert ((t >= 0) & (t <= 1)).all()
+    assert np.abs(lo + t[:, None] * d - pts).max() <= 1e-12
+    assert np.abs(pts - bisected_boundary_points(lp, lo, hi)).max() <= 1e-11
 
 
 def test_boundary_search_inconclusive_off_boundary():
