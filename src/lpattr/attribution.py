@@ -16,11 +16,11 @@ wrappers over it that add the method tag.
 - directed_feature_permutation: central difference per feature, a
   deterministic, sign-carrying variant of feature_permutation.
 
-A small model call costs about the same whatever its row count, so a core
-sends the model the rows of as many whole points as fit in BATCH_ROWS; a
-bigger point (a 257-row IG path) goes alone. Point i draws its perturbations
-from its own seed, as a one-point call would, so batching changes only
-rounding.
+Each core makes one model call per query, with the rows of all its points;
+the model splits them into fixed tiles, so a row's output does not depend
+on the call. Point i draws its perturbations from its own seed, as a
+one-point call would, so a many-point call equals its one-point calls bit
+for bit.
 """
 
 from __future__ import annotations
@@ -86,26 +86,17 @@ class AttributionVector:
         return ",".join(cells)
 
 
-BATCH_ROWS = 256  # model rows per call, in whole points
 DIRECTED = "directed-feature-permutation"
 
 
-def _blocks(count: int, rows_per_point: int) -> list[slice]:
-    """Consecutive runs of whole points whose rows fit in BATCH_ROWS, at least one point each."""
-    step = max(1, BATCH_ROWS // rows_per_point)
-    return [slice(s, s + step) for s in range(0, count, step)]
-
-
-def _query(fn, rows: np.ndarray) -> np.ndarray:
-    """fn on the rows (N, r, n) of N points, block by block; outputs shaped (N, r, ...)."""
-    N, r, n = rows.shape
-    out = [fn(rows[b].reshape(-1, n)) for b in _blocks(N, r)]
-    return np.concatenate(out).reshape((N, r) + out[0].shape[1:])
+def _predict(model, P: np.ndarray) -> np.ndarray:
+    """model.predict_many on points P (..., n) in one call; outputs shaped (...)."""
+    return model.predict_many(P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
 
 
 def _integrated_gradients(model, X: np.ndarray, cfg: IGConfig) -> np.ndarray:
     """(x_i - x'_i) times the path integral of dF/dx_i from baseline x' to x,
-    trapezoid rule over cfg.steps intervals; one block of paths at a time."""
+    trapezoid rule over cfg.steps intervals."""
     n = X.shape[1]
     baseline = np.zeros(n) if cfg.baseline is None else cfg.baseline
     if baseline.shape != (n,):
@@ -113,20 +104,19 @@ def _integrated_gradients(model, X: np.ndarray, cfg: IGConfig) -> np.ndarray:
     alphas = np.linspace(0.0, 1.0, cfg.steps + 1)[:, None]
     weights = np.full((cfg.steps + 1, 1), 1.0 / cfg.steps)
     weights[0] = weights[-1] = 0.5 / cfg.steps
-    out = np.empty_like(X)
-    for b in _blocks(len(X), cfg.steps + 1):
-        diff = X[b] - baseline
-        path = baseline + alphas * diff[:, None, :]  # (points, steps + 1, n)
-        grads = model.input_gradient_many(path.reshape(-1, n)).reshape(path.shape)
-        out[b] = diff * (weights * grads).sum(axis=1)
-    return out
+    diff = X - baseline
+    path = alphas * diff[:, None, :]  # (N, steps + 1, n)
+    path += baseline
+    grads = model.input_gradient_many(path.reshape(-1, n)).reshape(path.shape)
+    grads *= weights
+    return diff * grads.sum(axis=1)
 
 
 def _feature_permutation(model, X: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Mean over repeats r of F(x) - F(x with feature i moved by deltas[:, r, i])."""
     N, repeats, n = deltas.shape
     moved = X[:, None, None, :] + deltas[..., None] * np.eye(n)  # (N, repeats, moved feature, n)
-    scores = _query(model.predict_many, X[:, None, :]) - _query(model.predict_many, moved.reshape(N, -1, n))
+    scores = model.predict_many(X)[:, None] - _predict(model, moved.reshape(N, -1, n))
     return scores.reshape(N, repeats, n).mean(axis=1)
 
 
@@ -146,7 +136,7 @@ def fit_local_slopes(X_offsets: np.ndarray, y_offsets: np.ndarray, ridge_lambda:
 
 def _lime(model, X: np.ndarray, offsets: np.ndarray, ridge_lambda: float) -> np.ndarray:
     """Ridge-fit slopes from ``offsets`` (N, samples, n) to output changes, centered at (x, F(x))."""
-    y_off = _query(model.predict_many, X[:, None, :] + offsets) - _query(model.predict_many, X[:, None, :])
+    y_off = _predict(model, X[:, None, :] + offsets) - model.predict_many(X)[:, None]
     return fit_local_slopes(offsets, y_off, ridge_lambda)
 
 
@@ -155,8 +145,8 @@ def _directed(model, X: np.ndarray, radius: float) -> np.ndarray:
     the local trend, and equals the unregularized local-surrogate fit on the
     same 2n single-feature offsets."""
     step = radius * np.eye(X.shape[1])
-    return (_query(model.predict_many, X[:, None, :] + step)
-            - _query(model.predict_many, X[:, None, :] - step)) / (2.0 * radius)
+    return (_predict(model, X[:, None, :] + step)
+            - _predict(model, X[:, None, :] - step)) / (2.0 * radius)
 
 
 def _draws(method: str, X: np.ndarray, cfg: PerturbConfig, seeds, draws) -> np.ndarray:
@@ -187,7 +177,7 @@ def attribute_many(model, X, method: str, ig_cfg: IGConfig | None = None,
     if method == "integrated-gradients":
         return _integrated_gradients(model, X, ig_cfg or IGConfig())
     if method == "saliency":
-        return _query(model.input_gradient_many, X[:, None, :])[:, 0]
+        return model.input_gradient_many(X)
     if method == DIRECTED:
         return _directed(model, X, cfg.radius)
     if method == "feature-permutation":

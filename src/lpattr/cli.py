@@ -303,10 +303,11 @@ def _cmd_verify(args) -> None:
         lp = _resolve_lp(args.lp)
         ds = load_dataset(args.data)
         resid = label_residual(ds, lp)
-        state = "ok" if resid <= 1e-9 else f"FAILED (residual {resid:.3e})"
+        ok = resid <= 1e-9  # False for a NaN residual too
+        state = "ok" if ok else f"FAILED (residual {resid:.3e})"
         print(f"dataset {args.data}: labels {state}")
         checked += 1
-        if resid > 1e-9:
+        if not ok:
             problems.append(f"dataset labels deviate by {resid:.3e}")
     if checked == 0:
         raise ValidationError(f"nothing to verify under {target!r}")

@@ -185,6 +185,8 @@ def _read_dataset(csv_path: str) -> Dataset:
     n = len(header) - 1
     rows = [line.split(",") for line in lines[1:]] if len(lines) > 1 else []
     data = np.array([[float(v) for v in row] for row in rows], dtype=float).reshape(len(rows), n + 1)
+    if not np.isfinite(data).all():
+        raise ValueError("a cell is not a finite number")
     with open(csv_path + ".meta.json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     if meta["count"] != len(rows):

@@ -14,6 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import lpattr.cli
 from lpattr.attribution import PerturbConfig, attribute
 from lpattr.nn import Model, ModelConfig, load_model, save_model
 
@@ -279,6 +280,25 @@ class TestExitCodes:
         r = run_cli([*args, *model], tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+
+    def test_non_finite_dataset_cell_exits_2(self, tmp_path):
+        r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "40", "--out", "files"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        csv = tmp_path / "files" / "data-feasibility.csv"
+        lines = csv.read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        csv.write_text("\n".join(lines) + "\n")
+        r = run_cli(["train", "--data", "files/data-feasibility.csv"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "not a dataset file" in r.stderr
+
+    def test_verify_nan_residual_exits_non_zero(self, tmp_path, monkeypatch, capsys):
+        r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "40", "--out", "files"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        monkeypatch.setattr(lpattr.cli, "label_residual", lambda ds, lp: float("nan"))
+        code = lpattr.cli.main(["verify", "--data", str(tmp_path / "files" / "data-feasibility.csv"), "--lp", "box"])
+        assert code != 0
+        assert "labels deviate by nan" in capsys.readouterr().err
 
     def test_non_finite_learning_rate_exits_2(self, tmp_path):
         r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "40", "--out", "files"], tmp_path)

@@ -137,6 +137,20 @@ def test_round_trip_exact(tmp_path):
     assert back.kind == "vertex-distance"
 
 
+@pytest.mark.parametrize("cell, text", [(0, "nan"), (2, "inf"), (1, "-inf")])
+def test_non_finite_cell_is_malformed(tmp_path, cell, text):
+    lp = lp_box()
+    path = tmp_path / "ds.csv"
+    save_dataset(generate_dataset(lp, make_encoding(lp, "boundary-distance"), 40, seed=3), path)
+    lines = path.read_text().splitlines()
+    row = lines[5].split(",")
+    row[cell] = text
+    lines[5] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="not a dataset file"):
+        load_dataset(path)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     lp = lp_box()
     enc = make_encoding(lp, "feasibility")

@@ -9,7 +9,10 @@ from lpattr.data import generate_dataset
 from lpattr.encodings import make_encoding
 from lpattr.errors import ConfigurationError, TrainingDivergenceError, ValidationError
 from lpattr.fixtures import lp_box
+import lpattr.nn
 from lpattr.nn import (
+    ACTIVATIONS,
+    TILE_ROWS,
     AnalyticModel,
     Model,
     ModelConfig,
@@ -164,6 +167,44 @@ def test_queries_and_training_leave_inputs_unchanged(activation):
     np.testing.assert_array_equal(model.bbox, box)
     for p, p0 in zip(model.weights + model.biases, params):
         np.testing.assert_array_equal(p, p0)
+
+
+def random_model(activation, loss, n, seed=23):
+    gen = np.random.Generator(np.random.PCG64(seed))
+    sizes = [n, 64, 64, 64, 1]
+    weights = [gen.normal(0.0, 1.0 / np.sqrt(a), size=(b, a)) for a, b in zip(sizes[:-1], sizes[1:])]
+    biases = [gen.normal(0.0, 0.1, size=b) for b in sizes[1:]]
+    cfg = ModelConfig(depth=len(weights), hidden_width=64, activation=activation, loss=loss)
+    return Model(weights, biases, cfg, n, np.column_stack([np.full(n, -1.0), np.full(n, 2.0)]))
+
+
+@pytest.mark.parametrize("loss, n", [("squared-error", 2), ("logistic", 5)])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_rows_do_not_depend_on_the_call(activation, loss, n, monkeypatch):
+    model = random_model(activation, loss, n)
+    X = np.random.Generator(np.random.PCG64(5)).uniform(-1.0, 2.0, size=(600, n))
+    pred, grad = model.predict_many(X), model.input_gradient_many(X)
+    for rows in (1, 63, 64, 65, 255, 256, 257, 513):
+        for start in sorted({0, 1, 37, 600 - rows} & set(range(601 - rows))):
+            np.testing.assert_array_equal(model.predict_many(X[start : start + rows]), pred[start : start + rows])
+            np.testing.assert_array_equal(model.input_gradient_many(X[start : start + rows]),
+                                          grad[start : start + rows])
+    assert model.predict(X[7]) == pred[7]
+    assert model.predict_many(X[:0]).shape == (0,)
+    assert model.input_gradient_many(X[:0]).shape == (0, n)
+
+    seen = []
+    forward = lpattr.nn._forward
+
+    def recording(weights, biases, act, h):
+        seen.append(h.shape)
+        return forward(weights, biases, act, h)
+
+    monkeypatch.setattr(lpattr.nn, "_forward", recording)
+    for rows in (1, 256, 257, 600):
+        model.predict_many(X[:rows])
+        model.input_gradient_many(X[:rows])
+    assert set(seen) == {(TILE_ROWS, n)} and len(seen) == 2 * (1 + 1 + 2 + 3)
 
 
 ACTIVATION_FNS = {
