@@ -16,11 +16,12 @@ wrappers over it that add the method tag.
 - directed_feature_permutation: central difference per feature, a
   deterministic, sign-carrying variant of feature_permutation.
 
-Each core makes one model call per query, with the rows of all its points;
-the model splits them into fixed tiles, so a row's output does not depend
-on the call. Point i draws its perturbations from its own seed, as a
-one-point call would, so a many-point call equals its one-point calls bit
-for bit.
+Each core makes one model call per query, with the rows of all its points,
+except integrated gradients, which queries the paths of TILE_ROWS points at
+a time so that its memory does not grow with N. The model splits rows into
+fixed tiles, so a row's output does not depend on the call. Point i draws
+its perturbations from its own seed, as a one-point call would, so a
+many-point call equals its one-point calls bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, RankDeficiencyError
+from .nn import TILE_ROWS
 from .seeding import rng
 from .serialize import digest_of, format_float
 
@@ -96,7 +98,7 @@ def _predict(model, P: np.ndarray) -> np.ndarray:
 
 def _integrated_gradients(model, X: np.ndarray, cfg: IGConfig) -> np.ndarray:
     """(x_i - x'_i) times the path integral of dF/dx_i from baseline x' to x,
-    trapezoid rule over cfg.steps intervals."""
+    trapezoid rule over cfg.steps intervals, TILE_ROWS points per model call."""
     n = X.shape[1]
     baseline = np.zeros(n) if cfg.baseline is None else cfg.baseline
     if baseline.shape != (n,):
@@ -105,11 +107,15 @@ def _integrated_gradients(model, X: np.ndarray, cfg: IGConfig) -> np.ndarray:
     weights = np.full((cfg.steps + 1, 1), 1.0 / cfg.steps)
     weights[0] = weights[-1] = 0.5 / cfg.steps
     diff = X - baseline
-    path = alphas * diff[:, None, :]  # (N, steps + 1, n)
-    path += baseline
-    grads = model.input_gradient_many(path.reshape(-1, n)).reshape(path.shape)
-    grads *= weights
-    return diff * grads.sum(axis=1)
+    out = np.empty_like(diff)
+    for s in range(0, len(X), TILE_ROWS):  # TILE_ROWS paths fill steps + 1 whole tiles
+        d = diff[s : s + TILE_ROWS]
+        path = alphas * d[:, None, :]  # (points, steps + 1, n)
+        path += baseline
+        grads = model.input_gradient_many(path.reshape(-1, n)).reshape(path.shape)
+        grads *= weights
+        out[s : s + TILE_ROWS] = d * grads.sum(axis=1)
+    return out
 
 
 def _feature_permutation(model, X: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -187,26 +193,32 @@ def attribute_many(model, X, method: str, ig_cfg: IGConfig | None = None,
     raise ConfigurationError(f"unknown method {method!r}; known: {METHOD_TAGS + (DIRECTED,)}")
 
 
-def attribute(model, x, method: str, ig_cfg: IGConfig | None = None, perturb_cfg: PerturbConfig | None = None,
-              draws=None) -> AttributionVector:
-    """One point, tagged with the method and a digest of its config. ``draws``
-    (count, n) replaces the seeded deltas or offsets."""
-    x = np.asarray(x, dtype=float)
-    draws = None if draws is None else np.asarray(draws, dtype=float)[None]
-    values = attribute_many(model, x[None], method, ig_cfg, perturb_cfg, draws=draws)[0]
+def method_settings(method: str, n: int, ig_cfg: IGConfig | None = None,
+                    perturb_cfg: PerturbConfig | None = None, count: int | None = None) -> dict | None:
+    """The settings that ``method``'s values on n features depend on, None for
+    saliency. ``count`` replaces the configured feature_permutation repeats
+    or lime samples."""
     ig_cfg, cfg = ig_cfg or IGConfig(), perturb_cfg or PerturbConfig()
-    baseline = np.zeros(x.shape[0]) if ig_cfg.baseline is None else ig_cfg.baseline
-    if draws is not None:
-        count = draws.shape[1]
-    else:
+    if count is None:
         count = cfg.repeats if method == "feature-permutation" else cfg.samples
-    fields = {
+    return {
         "saliency": None,
-        "integrated-gradients": {"baseline": baseline, "steps": ig_cfg.steps},
+        "integrated-gradients": {"baseline": np.zeros(n) if ig_cfg.baseline is None else ig_cfg.baseline,
+                                 "steps": ig_cfg.steps},
         DIRECTED: {"radius": cfg.radius},
         "feature-permutation": {"radius": cfg.radius, "repeats": count, "seed": cfg.seed},
         "lime": {"radius": cfg.radius, "samples": count, "lambda": cfg.ridge_lambda, "seed": cfg.seed},
     }[method]
+
+
+def attribute(model, x, method: str, ig_cfg: IGConfig | None = None, perturb_cfg: PerturbConfig | None = None,
+              draws=None) -> AttributionVector:
+    """One point, tagged with the method and a digest of its settings. ``draws``
+    (count, n) replaces the seeded deltas or offsets."""
+    x = np.asarray(x, dtype=float)
+    draws = None if draws is None else np.asarray(draws, dtype=float)[None]
+    values = attribute_many(model, x[None], method, ig_cfg, perturb_cfg, draws=draws)[0]
+    fields = method_settings(method, x.shape[0], ig_cfg, perturb_cfg, None if draws is None else draws.shape[1])
     tag = method if fields is None else f"{method}:{digest_of(fields)[:12]}"
     return AttributionVector(values=values, method=tag, point=x)
 

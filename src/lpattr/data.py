@@ -63,16 +63,23 @@ class Dataset:
         return self.X[self.val_indices], self.y[self.val_indices]
 
 
-def _resolve_bbox(lp: LinearProgram, bbox) -> np.ndarray:
-    if bbox is None:
-        return vertex_bbox(lp)
+def check_bbox(bbox, n: int) -> np.ndarray:
+    """``bbox`` as an (n, 2) float array of finite (lo, hi) rows with lo < hi;
+    anything else raises ValidationError."""
     bbox = np.asarray(bbox, dtype=float)
-    if bbox.shape != (lp.n, 2):
-        raise ValidationError(f"bbox must have shape ({lp.n}, 2), got {bbox.shape}")
+    if bbox.shape != (n, 2):
+        raise ValidationError(f"bbox must have shape ({n}, 2), got {bbox.shape}")
     if not np.isfinite(bbox).all():
         raise ValidationError("bbox bounds must be finite")
     if (bbox[:, 0] >= bbox[:, 1]).any():
         raise ValidationError("bbox lows must be below highs")
+    return bbox
+
+
+def _resolve_bbox(lp: LinearProgram, bbox) -> np.ndarray:
+    if bbox is None:
+        return vertex_bbox(lp)
+    bbox = check_bbox(bbox, lp.n)
     if (bbox[:, 0] < 0).any():
         raise ValidationError("sampling is restricted to x >= 0; bbox lows must be >= 0")
     return bbox
@@ -200,7 +207,7 @@ def _read_dataset(csv_path: str) -> Dataset:
         lp_digest=meta["lp_digest"],
         kind=meta["kind"],
         excluded_vertices=None if ex is None else np.array([[float(v) for v in row] for row in ex]),
-        bbox=np.array([[float(lo), float(hi)] for lo, hi in meta["bbox"]]),
+        bbox=check_bbox([[float(lo), float(hi)] for lo, hi in meta["bbox"]], n),
         seed=meta["seed"],
         feasible_fraction=float(meta["feasible_fraction"]),
         balance_warning=meta["balance_warning"],

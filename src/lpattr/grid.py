@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attribution import IGConfig, PerturbConfig, attribute_many
+from .attribution import IGConfig, PerturbConfig, attribute_many, method_settings
 from .errors import ConfigurationError, ValidationError, malformed_file
 from .render import render_heatmap
 from .seeding import sub_seed
@@ -97,29 +97,20 @@ def grid_attribution(
         )
     w, h = spec.resolution
     pts = spec.points()
-    base_perturb = perturb_cfg or PerturbConfig()
     seeds = [sub_seed(seed, idx) for idx in range(w * h)] if method in ("feature-permutation", "lime") else None
-    values = attribute_many(model, pts, method, ig_cfg, base_perturb, seeds)
+    values = attribute_many(model, pts, method, ig_cfg, perturb_cfg, seeds)
     channels = {}
     for i in range(spec.n):
         channels[f"a{i + 1}"] = values[:, i].reshape(w, h)
     channels["sum"] = np.add.reduce([channels[f"a{i + 1}"] for i in range(spec.n)], axis=0)
     channels["prediction"] = model.predict_many(pts).reshape(w, h)
+    settings = method_settings(method, spec.n, ig_cfg, perturb_cfg) or {}
     prov = {
         "method": method,
         "seed": seed,
         "spec": floats_to_lists(asdict(spec)),
-        "config_digest": digest_of(
-            {
-                "ig": None if ig_cfg is None else {"steps": ig_cfg.steps, "baseline": ig_cfg.baseline},
-                "perturb": {
-                    "radius": base_perturb.radius,
-                    "samples": base_perturb.samples,
-                    "repeats": base_perturb.repeats,
-                    "ridge_lambda": base_perturb.ridge_lambda,
-                },
-            }
-        ),
+        # the cells' seeds come from the grid seed above, so perturb_cfg.seed is left out
+        "config_digest": digest_of({k: v for k, v in settings.items() if k != "seed"}),
     }
     return GridResult(spec=spec, method=method, channels=channels, provenance=prov)
 

@@ -10,7 +10,13 @@ Design points that the rest of the package leans on:
 - normalization: inputs are scaled to [0,1] per box dimension internally,
   while predictions and gradients are reported in original coordinates;
 - fixed tiles: Model queries run zero-padded TILE_ROWS-row passes; BLAS
-  rounds by call shape, so a row's output then ignores the call it is in.
+  rounds by call shape, so a row's output then ignores the call it is in;
+- streaming passes: predict_many holds one layer's output at a time and
+  input_gradient_many one delta, so a gradient tile peaks near 10 arrays of
+  TILE_ROWS x width.
+  Passes that return every output and delta as lists peak near 14; glibc
+  then hands the freed heap back to the OS after each tile, and the page
+  faults of the next tile made a 192-point IG grid 40-50 % slower.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_bbox
 from .errors import ConfigurationError, TrainingDivergenceError, ValidationError, malformed_file
 from .seeding import rng
 from .serialize import canonical_json
@@ -229,9 +235,7 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
         raise ValidationError("X must be (N, n) with matching nonempty y")
-    bbox = np.asarray(bbox, dtype=float)
-    if bbox.shape != (X.shape[1], 2):
-        raise ValidationError("bbox must have shape (n, 2)")
+    bbox = check_bbox(bbox, X.shape[1])
     if config.loss == "logistic" and not np.isin(y, (0.0, 1.0)).all():
         raise ConfigurationError("logistic loss requires {0,1} targets")
 
@@ -347,11 +351,13 @@ def load_model(path) -> Model:
         shapes.update({f"b{i}": (sizes[i + 1],) for i in range(config.depth)}, bbox=(sizes[0], 2))
         if {name: a.shape for name, a in data.items()} != shapes:
             raise ValueError(f"array shapes do not fit input_dim {sizes[0]} and the config's layers {sizes}")
+        if not all(np.isfinite(a).all() for a in data.values()):
+            raise ValueError("an array holds a non-finite number")
         return Model(
             weights=[data[f"W{i}"] for i in range(config.depth)],
             biases=[data[f"b{i}"] for i in range(config.depth)],
             config=config,
             input_dim=header["input_dim"],
-            bbox=data["bbox"],
+            bbox=check_bbox(data["bbox"], sizes[0]),
             training_summary=header["training_summary"],
         )

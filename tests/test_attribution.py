@@ -1,6 +1,8 @@
 """Attribution semantics pinned on closed-form models, where every expected
 number is hand-computable."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from lpattr.attribution import (
     METHOD_TAGS,
     PerturbConfig,
     attribute,
+    attribute_many,
     directed_feature_permutation,
     feature_permutation,
     fit_local_slopes,
@@ -19,7 +22,7 @@ from lpattr.attribution import (
     saliency,
 )
 from lpattr.errors import ConfigurationError, RankDeficiencyError
-from lpattr.nn import AnalyticModel
+from lpattr.nn import AnalyticModel, Model, ModelConfig
 
 
 def linear_model(slopes):
@@ -83,6 +86,24 @@ def test_ig_custom_baseline():
     m = linear_model([3.0, -1.0])
     av = integrated_gradients(m, [2.0, 2.0], IGConfig(baseline=[1.0, 1.0]))
     np.testing.assert_allclose(av.values, [3.0, -1.0], atol=1e-12)
+
+
+def test_ig_memory_does_not_grow_with_points():
+    # one query for all 2,000 paths holds the (N, steps + 1, n) path and its
+    # gradients at once; a few hundred paths at a time stay below one of them
+    gen = np.random.Generator(np.random.PCG64(6))
+    sizes = [2, 16, 16, 1]
+    model = Model([gen.normal(0.0, 0.5, size=(b, a)) for a, b in zip(sizes[:-1], sizes[1:])],
+                  [np.zeros(b) for b in sizes[1:]], ModelConfig(depth=3, hidden_width=16), 2,
+                  np.array([[0.0, 1.0], [0.0, 1.0]]))
+    X = gen.uniform(0.0, 1.0, size=(2000, 2))
+    tracemalloc.start()
+    try:
+        attribute_many(model, X, "integrated-gradients")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.size * (IGConfig().steps + 1) * X.itemsize
 
 
 def test_ig_validation():

@@ -79,12 +79,14 @@ def test_grid_cells_match_one_point_calls(model, method):
 
 
 def test_short_ig_paths_match_one_point_calls(model):
-    # 17-row paths: many share a model call in the grid, one fills a call alone
-    spec, cfg = spec_for(model), IGConfig(steps=16)
-    grid = grid_attribution(model, "integrated-gradients", spec, ig_cfg=cfg)
-    cells = np.column_stack([c.reshape(-1) for c in grid.feature_channels()])
-    per_point = [attribute(model, x, "integrated-gradients", ig_cfg=cfg).values for x in spec.points()]
-    np.testing.assert_array_equal(cells, per_point)
+    # 17-row paths: many share a model call in the grid, one fills a call alone;
+    # the 300-cell grid spans two 256-point path chunks
+    cfg = IGConfig(steps=16)
+    for spec in (spec_for(model), replace(spec_for(model), resolution=(20, 15))):
+        grid = grid_attribution(model, "integrated-gradients", spec, ig_cfg=cfg)
+        cells = np.column_stack([c.reshape(-1) for c in grid.feature_channels()])
+        per_point = [attribute(model, x, "integrated-gradients", ig_cfg=cfg).values for x in spec.points()]
+        np.testing.assert_array_equal(cells, per_point)
 
 
 @pytest.mark.parametrize("method", ["saliency", "lime", "feature-permutation"])

@@ -224,7 +224,9 @@ class TestExitCodes:
         None,
         lambda meta: meta["train_indices"].__setitem__(0, 999),
         lambda meta: meta["val_indices"].append(meta["train_indices"][0]),
-    ], ids=["non-numeric", "index-out-of-range", "index-in-both-splits"])
+        lambda meta: meta["bbox"].__setitem__(0, ["1", "1"]),
+        lambda meta: meta["bbox"].__setitem__(0, ["0", "nan"]),
+    ], ids=["non-numeric", "index-out-of-range", "index-in-both-splits", "bbox-degenerate", "bbox-nan"])
     def test_malformed_dataset_file_exits_2(self, tmp_path, split_edit):
         r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "40", "--out", "files"], tmp_path)
         assert r.returncode == 0, r.stderr
@@ -248,7 +250,10 @@ class TestExitCodes:
         (None, 2, {"input_dim": 3}),
         (None, 3, {"config": ModelConfig(depth=2, hidden_width=4)}),
         (None, 2, {"bbox": np.tile([0.0, 1.0], (3, 1))}),
-    ], ids=["truncated-header", "short-array", "input-dim-mismatch", "depth-mismatch", "bbox-shape"])
+        (None, 2, {"bbox": np.array([[1.0, 1.0], [0.0, 1.0]])}),
+        (None, 2, {"weights": [np.array([[np.nan, 0.0]] + [[0.0, 0.0]] * 3), np.zeros((1, 4))]}),
+    ], ids=["truncated-header", "short-array", "input-dim-mismatch", "depth-mismatch", "bbox-shape",
+            "bbox-degenerate", "nan-weight"])
     def test_malformed_model_file_exits_2(self, tmp_path, keep, depth, changes):
         save_flat_model(tmp_path / "full.model", depth, **changes)
         (tmp_path / "bad.model").write_bytes((tmp_path / "full.model").read_bytes()[:keep])

@@ -7,6 +7,7 @@ checks pin the exact endpoint bytes and the negation symmetry.
 import numpy as np
 import pytest
 
+from lpattr.attribution import IGConfig, PerturbConfig
 from lpattr.errors import ConfigurationError, RenderError, ValidationError
 from lpattr.grid import (
     GridSpec,
@@ -108,6 +109,19 @@ class TestGridAttribution:
         assert np.array_equal(a.channels["a1"], b.channels["a1"])
         c = grid_attribution(quad_model(), "feature-permutation", small_spec(), seed=12)
         assert not np.array_equal(a.channels["a1"], c.channels["a1"])
+
+    def test_config_digest_covers_only_what_the_cells_read(self):
+        # perturb_cfg.seed is not read either: the cells' seeds come from the grid seed
+        def digest(method, **cfg):
+            return grid_attribution(quad_model(), method, small_spec(), **cfg).provenance["config_digest"]
+
+        fp = {digest("feature-permutation", ig_cfg=cfg) for cfg in (None, IGConfig(), IGConfig(steps=128))}
+        fp.add(digest("feature-permutation", perturb_cfg=PerturbConfig(seed=4)))
+        ig = {digest("integrated-gradients", perturb_cfg=cfg) for cfg in (None, PerturbConfig(radius=0.3))}
+        ig.add(digest("integrated-gradients", ig_cfg=IGConfig()))
+        assert len(fp) == len(ig) == 1
+        assert digest("feature-permutation", perturb_cfg=PerturbConfig(radius=0.3)) not in fp
+        assert digest("integrated-gradients", ig_cfg=IGConfig(steps=128)) not in ig
 
     def test_model_dimension_checked(self):
         m = AnalyticModel(fn=lambda X: X[:, 0], grad=lambda X: np.ones((len(X), 3)), input_dim=3)

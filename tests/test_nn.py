@@ -2,6 +2,8 @@
 public predict function, so it exercises normalization and the output
 nonlinearity exactly as callers see them."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -263,35 +265,40 @@ def batch_loss(weights, biases, X, y, activation, loss):
 @pytest.mark.parametrize("loss", ["squared-error", "logistic"])
 @pytest.mark.parametrize("activation", ["smooth-softplus", "tanh", "piecewise-linear"])
 def test_training_step_applies_loss_gradient(activation, loss):
-    # one full-batch step without momentum moves each parameter by -lr * dL/dp;
+    # each full-batch step moves each parameter by -lr * dL/dp plus momentum
+    # times its previous move: one step without momentum, two steps at 0.9;
     # a step at lr=1e-300 leaves the initial parameters in place
     rng = np.random.Generator(np.random.PCG64(5))
     X = rng.uniform(0, 1, size=(32, 2))
     y = (X.sum(axis=1) > 1).astype(float) if loss == "logistic" else np.sin(3 * X[:, 0]) + X[:, 1]
     lr = 1e-2
 
-    def one_step(rate):
+    def steps(rate, momentum, epochs):
         cfg = tiny_config(hidden_width=6, activation=activation, loss=loss, learning_rate=rate,
-                          momentum=0.0, epochs=1, batch_size=len(X), seed=2)
+                          momentum=momentum, epochs=epochs, batch_size=len(X), seed=2)
         return fit_arrays(X, y, cfg, UNIT_BOX2)
 
-    m0, m1 = one_step(1e-300), one_step(lr)
-    pick = np.random.Generator(np.random.PCG64(3))
     eps = 1e-6
-    for name in ("weights", "biases"):
-        for layer in range(m0.config.depth):
-            for _ in range(3):
-                p0 = getattr(m0, name)[layer]
-                idx = tuple(int(pick.integers(s)) for s in p0.shape)
-                applied = (p0[idx] - getattr(m1, name)[layer][idx]) / lr
-                losses = []
-                for sign in (1.0, -1.0):
-                    params = {"weights": [W.copy() for W in m0.weights], "biases": [b.copy() for b in m0.biases]}
-                    params[name][layer][idx] += sign * eps
-                    losses.append(batch_loss(params["weights"], params["biases"], X, y, activation, loss))
-                want = (losses[0] - losses[1]) / (2 * eps)
-                # measured worst relative error 5e-8 over these cases
-                assert abs(applied - want) <= 1e-6 * (1e-3 + abs(want)), (name, layer, idx)
+
+    def loss_gradient(model, name, layer, idx):
+        losses = []
+        for sign in (1.0, -1.0):
+            params = {"weights": [W.copy() for W in model.weights], "biases": [b.copy() for b in model.biases]}
+            params[name][layer][idx] += sign * eps
+            losses.append(batch_loss(params["weights"], params["biases"], X, y, activation, loss))
+        return (losses[0] - losses[1]) / (2 * eps)
+
+    pick = np.random.Generator(np.random.PCG64(3))
+    for momentum, epochs in ((0.0, 1), (0.9, 2)):
+        models = [steps(1e-300, momentum, 1)] + [steps(lr, momentum, k) for k in range(1, epochs + 1)]
+        for name, layer, _ in itertools.product(("weights", "biases"), range(models[0].config.depth), range(3)):
+            idx = tuple(int(pick.integers(s)) for s in getattr(models[0], name)[layer].shape)
+            moves = [getattr(b, name)[layer][idx] - getattr(a, name)[layer][idx] for a, b in zip(models, models[1:])]
+            for k, move in enumerate(moves):
+                applied = (momentum * (moves[k - 1] if k else 0.0) - move) / lr
+                want = loss_gradient(models[k], name, layer, idx)
+                # measured worst relative error 6e-8 over these cases
+                assert abs(applied - want) <= 1e-6 * (1e-3 + abs(want)), (momentum, k, name, layer, idx)
 
 
 def test_divergence_raises_with_state():
