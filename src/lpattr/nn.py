@@ -11,18 +11,32 @@ Design points that the rest of the package leans on:
   while predictions and gradients are reported in original coordinates;
 - fixed tiles: Model queries run zero-padded TILE_ROWS-row passes; BLAS
   rounds by call shape, so a row's output then ignores the call it is in;
-- streaming passes: predict_many holds one layer's output at a time and
-  input_gradient_many one delta, so a gradient tile peaks near 10 arrays of
-  TILE_ROWS x width.
-  Passes that return every output and delta as lists peak near 14; glibc
-  then hands the freed heap back to the OS after each tile, and the page
-  faults of the next tile made a 192-point IG grid 40-50 % slower.
+- lanes: a query deals its tiles round-robin to lanes, at most one per tile
+  and one per CPU it may run on (len(os.sched_getaffinity(0))) after each
+  lane's BLAS threads. Lanes that share a multi-threaded BLAS wait on its
+  pool and run slower than one lane, and these matrices are too small for
+  BLAS threads to pay, so a query uses every CPU when BLAS runs one thread
+  (OPENBLAS_NUM_THREADS=1) and one lane under BLAS's default of one thread
+  per CPU. Lane 0 is the caller; the others are threads started and joined
+  inside the call, and a helper's exception is re-raised by the call. Each
+  tile writes only its own rows of the output and nothing is summed across
+  tiles, so the bits ignore the lane count and the schedule. Threads live
+  only as long as their call, not in a pool whose workers a fork leaves
+  behind, so a forked child queries like its parent;
+- workspaces: each lane allocates one block of buffers per call (the input
+  tile, each layer's output, an activation scratch and two delta buffers
+  the backward pass alternates between) and every pass writes into them, so
+  a tile allocates no layer-sized array and takes no page faults once the
+  heap holds a block of that size. Training runs its minibatches through
+  the same two passes with a workspace of its own.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -76,57 +90,88 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _act(kind: str, z: np.ndarray) -> np.ndarray:
-    """Activation of a fresh pre-activation array, written into its buffer."""
+def _act(kind: str, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Activation of a pre-activation array, written into its buffer; ``tmp``
+    is scratch of z's shape."""
     if kind == "smooth-softplus":
-        e = np.exp(-np.abs(z))
+        e = np.exp(np.negative(np.abs(z, out=tmp), out=tmp), out=tmp)
         return np.add(np.maximum(z, 0.0, out=z), np.log1p(e, out=e), out=z)
     if kind == "tanh":
         return np.tanh(z, out=z)
     return np.maximum(z, 0.0, out=z)
 
 
-def _act_deriv(kind: str, h: np.ndarray) -> np.ndarray:
-    """Activation derivative, taken from the layer output h = _act(z)."""
+def _act_deriv(kind: str, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Activation derivative, taken from the layer output h = _act(z) and
+    written into ``out``."""
     if kind == "smooth-softplus":
-        return -np.expm1(-h)  # 1 - exp(-softplus(z)) = sigmoid(z)
+        # 1 - exp(-softplus(z)) = sigmoid(z)
+        return np.negative(np.expm1(np.negative(h, out=out), out=out), out=out)
     if kind == "tanh":
-        return 1.0 - h**2
-    return h > 0
+        return np.subtract(1.0, np.square(h, out=out), out=out)
+    return np.greater(h, 0.0, out=out)
 
 
-def _forward(weights, biases, activation: str, h: np.ndarray):
-    """Yield each layer's output; the last layer is linear."""
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    """A contiguous array of ``shape`` over the start of the flat ``buf``."""
+    return buf[: shape[0] * shape[1]].reshape(shape)
+
+
+def _lanes(tiles: int) -> int:
+    """Lanes for a query of ``tiles`` tiles: the CPUs this process may run on,
+    shared with the threads of each BLAS call. OpenBLAS takes its thread count
+    from these variables when numpy loads it, and one per CPU by default."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or ""
+    per_lane = int(blas) if blas.isdigit() and int(blas) > 0 else cpus
+    return max(1, min(cpus // per_lane, tiles))
+
+
+class _Workspace:
+    """Buffers for passes of up to ``rows`` rows: ``layers`` holds the input
+    and each layer's output; ``scratch`` and the two ``deltas`` are flat and
+    viewed at the shape each step needs. All are views of one block, which
+    glibc keeps for the next call of the same size; freed arrays of a
+    layer's size go back to the OS and fault in again."""
+
+    def __init__(self, weights, rows: int):
+        sizes = [weights[0].shape[1]] + [W.shape[0] for W in weights]
+        lengths = [rows * k for k in sizes] + [rows * max(sizes)] * 3
+        parts = np.split(np.empty(sum(lengths)), np.cumsum(lengths)[:-1])
+        self.layers = [p.reshape(rows, k) for p, k in zip(parts, sizes)]
+        self.scratch, *self.deltas = parts[len(sizes) :]
+
+
+def _forward(weights, biases, activation: str, layers, scratch):
+    """Fill layers[1:] with each layer's output from the input in layers[0]
+    and return the last; the last layer is linear."""
     last = len(weights) - 1
     for i, (W, b) in enumerate(zip(weights, biases)):
-        z = h @ W.T + b
-        h = z if i == last else _act(activation, z)
-        yield h
+        z = np.matmul(layers[i], W.T, out=layers[i + 1])
+        z += b
+        if i != last:
+            _act(activation, z, _view(scratch, z.shape))
+    return z
 
 
-def _backward(weights, activation: str, outs: list[np.ndarray], g: np.ndarray):
-    """Given g = d(out)/d(last pre-activation) and the layer outputs ``outs``
-    of _forward, yield d(out)/d(pre-activation) per layer, last layer first,
+def _backward(weights, activation: str, layers, g: np.ndarray, scratch, deltas):
+    """Given g = d(out)/d(last pre-activation) and the layers filled by
+    _forward, yield d(out)/d(pre-activation) per layer, last layer first,
     then d(out)/d(input).
 
-    Each layer's weights are read before its gradient is yielded, so a caller
-    may replace ``weights[i]`` once it has seen layer i.
+    Each step writes into the delta buffer the yielded delta is not in, so a
+    delta holds until the step after it. Each layer's weights are read before
+    its delta is yielded, so a caller may replace ``weights[i]`` once it has
+    seen layer i.
     """
     last = len(weights) - 1
     for i in range(last, -1, -1):
         if i != last:
-            g = g * _act_deriv(activation, outs[i])
+            g *= _act_deriv(activation, layers[i + 1], _view(scratch, g.shape))
         W = weights[i]
         yield g
-        g = g @ W
+        g = np.matmul(g, W, out=_view(deltas[i % 2], (len(g), W.shape[1])))
     yield g
-
-
-def _final(items):
-    """Last item of an iterator, holding no earlier one."""
-    for item in items:
-        pass
-    return item
 
 
 class _PointQueries:
@@ -163,28 +208,58 @@ class Model(_PointQueries):
         lo, hi = self.bbox[:, 0], self.bbox[:, 1]
         return (X - lo) / (hi - lo)
 
-    def _tiled(self, X, width: int, fn) -> np.ndarray:
-        """(N, width) rows of fn on X's normalized rows, one zero-padded TILE_ROWS-row tile per call."""
+    def _tiled(self, X, width: int, fill) -> np.ndarray:
+        """(N, width) rows of ``fill(ws, rows)``, which writes the output rows
+        of the normalized tile in ``ws.layers[0]`` into ``rows``. The
+        zero-padded TILE_ROWS-row tiles are dealt round-robin to the lanes."""
         X = self._check_points(X)
         out = np.empty((len(X), width))
-        tile = np.zeros((TILE_ROWS, self.input_dim))
-        for s in range(0, len(X), TILE_ROWS):
-            k = min(TILE_ROWS, len(X) - s)
-            tile[:k], tile[k:] = self._normalize(X[s : s + k]), 0.0
-            out[s : s + k] = fn(tile)[:k]
+        starts = range(0, len(X), TILE_ROWS)
+        lanes = _lanes(len(starts))
+        failures = []
+
+        def lane(j):
+            ws = _Workspace(self.weights, TILE_ROWS)
+            tile = ws.layers[0]
+            for s in starts[j::lanes]:
+                k = min(TILE_ROWS, len(X) - s)
+                tile[:k], tile[k:] = self._normalize(X[s : s + k]), 0.0
+                fill(ws, out[s : s + k])
+
+        def helper(j):
+            try:
+                lane(j)
+            except BaseException as exc:
+                failures.append(exc)
+
+        threads = [threading.Thread(target=helper, args=(j,)) for j in range(1, lanes)]
+        for t in threads:
+            t.start()
+        try:
+            lane(0)
+        finally:
+            for t in threads:
+                t.join()
+        if failures:
+            raise failures[0]
         return out
 
-    def _gradient_tile(self, Z: np.ndarray) -> np.ndarray:
+    def _predict_tile(self, ws: _Workspace, rows: np.ndarray) -> None:
+        top = _forward(self.weights, self.biases, self.config.activation, ws.layers, ws.scratch)
+        rows[:] = top[: len(rows)]
+
+    def _gradient_tile(self, ws: _Workspace, rows: np.ndarray) -> None:
         act = self.config.activation
-        outs = list(_forward(self.weights, self.biases, act, Z))
-        g = np.ones((len(Z), 1))
+        top = _forward(self.weights, self.biases, act, ws.layers, ws.scratch)
+        g = np.ones((len(top), 1))
         if self.config.loss == "logistic":
-            s = _sigmoid(outs[-1])
+            s = _sigmoid(top)
             g = s * (1.0 - s)
-        return _final(_backward(self.weights, act, outs, g)) / (self.bbox[:, 1] - self.bbox[:, 0])
+        *_, grad = _backward(self.weights, act, ws.layers, g, ws.scratch, ws.deltas)
+        np.divide(grad[: len(rows)], self.bbox[:, 1] - self.bbox[:, 0], out=rows)
 
     def predict_many(self, X) -> np.ndarray:
-        out = self._tiled(X, 1, lambda Z: _final(_forward(self.weights, self.biases, self.config.activation, Z)))
+        out = self._tiled(X, 1, self._predict_tile)
         return (_sigmoid(out) if self.config.loss == "logistic" else out)[:, 0]
 
     def input_gradient_many(self, X) -> np.ndarray:
@@ -248,6 +323,7 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
     vel_W = [np.zeros_like(W) for W in weights]
     vel_b = [np.zeros_like(b) for b in biases]
     n_samples = X.shape[0]
+    ws = _Workspace(weights, min(config.batch_size, n_samples))
     train_loss = np.nan
 
     for _ in range(config.epochs):
@@ -255,11 +331,10 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
         epoch_loss = 0.0
         for start in range(0, n_samples, config.batch_size):
             idx = order[start : start + config.batch_size]
-            zb, yb = Z[idx], y[idx]
-            outs = list(_forward(weights, biases, act, zb))
-            inputs = [zb] + outs[:-1]
-            out = outs[-1][:, 0]
             k = len(idx)
+            layers = [a[:k] for a in ws.layers]
+            layers[0][:], yb = Z[idx], y[idx]
+            out = _forward(weights, biases, act, layers, ws.scratch)[:, 0]
             if config.loss == "logistic":
                 p = _sigmoid(out)
                 # binary cross-entropy via logaddexp for stability
@@ -273,8 +348,9 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
                     "loss became non-finite", last_state={"weights": weights, "biases": biases}
                 )
             epoch_loss += loss * k
-            for i, g in zip(range(len(weights) - 1, -1, -1), _backward(weights, act, outs, delta)):
-                vel_W[i] = config.momentum * vel_W[i] - config.learning_rate * (g.T @ inputs[i])
+            deltas = _backward(weights, act, layers, delta, ws.scratch, ws.deltas)
+            for i, g in zip(range(len(weights) - 1, -1, -1), deltas):
+                vel_W[i] = config.momentum * vel_W[i] - config.learning_rate * (g.T @ layers[i])
                 vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * g.sum(axis=0)
                 weights[i] = weights[i] + vel_W[i]
                 biases[i] = biases[i] + vel_b[i]

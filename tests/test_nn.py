@@ -3,6 +3,10 @@ public predict function, so it exercises normalization and the output
 nonlinearity exactly as callers see them."""
 
 import itertools
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -180,6 +184,13 @@ def random_model(activation, loss, n, seed=23):
     return Model(weights, biases, cfg, n, np.column_stack([np.full(n, -1.0), np.full(n, 2.0)]))
 
 
+def lane_count(monkeypatch, lanes):
+    # lanes share the CPUs with BLAS threads; BLAS read its variable at load,
+    # so setting it here changes only the lane count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(lanes)), raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
 @pytest.mark.parametrize("loss, n", [("squared-error", 2), ("logistic", 5)])
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 def test_rows_do_not_depend_on_the_call(activation, loss, n, monkeypatch):
@@ -195,18 +206,135 @@ def test_rows_do_not_depend_on_the_call(activation, loss, n, monkeypatch):
     assert model.predict_many(X[:0]).shape == (0,)
     assert model.input_gradient_many(X[:0]).shape == (0, n)
 
-    seen = []
+    seen, lock = [], threading.Lock()
     forward = lpattr.nn._forward
 
-    def recording(weights, biases, act, h):
-        seen.append(h.shape)
-        return forward(weights, biases, act, h)
+    def recording(weights, biases, act, layers, scratch):
+        with lock:
+            seen.append(layers[0].shape)
+        return forward(weights, biases, act, layers, scratch)
 
     monkeypatch.setattr(lpattr.nn, "_forward", recording)
+    lane_count(monkeypatch, 3)
     for rows in (1, 256, 257, 600):
         model.predict_many(X[:rows])
         model.input_gradient_many(X[:rows])
     assert set(seen) == {(TILE_ROWS, n)} and len(seen) == 2 * (1 + 1 + 2 + 3)
+
+
+def test_lanes_share_the_cpus_with_blas_threads(monkeypatch):
+    # OpenBLAS runs one thread per CPU unless told otherwise; lanes take what
+    # its threads leave, and a call never has more lanes than tiles
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    for env, tiles, want in (({}, 10, 1), ({"OPENBLAS_NUM_THREADS": "0"}, 10, 1),
+                             ({"OPENBLAS_NUM_THREADS": "4"}, 10, 1), ({"OMP_NUM_THREADS": "2"}, 10, 2),
+                             ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 10, 4),
+                             ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3), ({"OPENBLAS_NUM_THREADS": "1"}, 0, 1)):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert lpattr.nn._lanes(tiles) == want, (env, tiles)
+
+
+@pytest.mark.parametrize("loss, n", [("squared-error", 2), ("logistic", 5)])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_rows_do_not_depend_on_the_lanes(activation, loss, n, monkeypatch):
+    # tiles are dealt to lanes and nothing is summed across tiles, so one
+    # lane and three give the bits of the default lane count
+    model = random_model(activation, loss, n)
+    X = np.random.Generator(np.random.PCG64(6)).uniform(-1.0, 2.0, size=(600, n))
+    calls = [X[:rows] for rows in (1, 257, 600)]
+    want = [(model.predict_many(Q), model.input_gradient_many(Q)) for Q in calls]
+    for lanes in (1, 3):
+        lane_count(monkeypatch, lanes)
+        for Q, (pred, grad) in zip(calls, want):
+            np.testing.assert_array_equal(model.predict_many(Q), pred)
+            np.testing.assert_array_equal(model.input_gradient_many(Q), grad)
+
+
+def test_a_failing_lane_fails_the_call(monkeypatch):
+    # a helper lane's exception is raised by the call, after every lane has
+    # joined, instead of returning rows that were never filled
+    model = random_model("tanh", "squared-error", 2)
+    X = np.random.Generator(np.random.PCG64(8)).uniform(-1.0, 2.0, size=(600, 2))
+    forward, on_main = lpattr.nn._forward, []
+
+    def failing(weights, biases, act, layers, scratch):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        if not on_main[-1]:
+            raise FloatingPointError("tile failed on a helper lane")
+        return forward(weights, biases, act, layers, scratch)
+
+    lane_count(monkeypatch, 2)
+    monkeypatch.setattr(lpattr.nn, "_forward", failing)
+    threads = threading.active_count()
+    for query in (model.predict_many, model.input_gradient_many):
+        with pytest.raises(FloatingPointError, match="helper lane"):
+            query(X)
+    # tiles 0 and 2 ran in the caller, tile 1 on the helper, in each call
+    assert sorted(on_main) == [False, False, True, True, True, True]
+    assert threading.active_count() == threads
+
+
+def test_concurrent_queries_match_serial_ones(monkeypatch):
+    # two user threads querying one model at once, each call on three lanes
+    # (more threads than this machine's cores) with frequent thread switches,
+    # each get the bits of serial calls
+    lane_count(monkeypatch, 3)
+    model = random_model("smooth-softplus", "logistic", 3)
+    X = np.random.Generator(np.random.PCG64(9)).uniform(-1.0, 2.0, size=(2, 900, 3))
+    want = [(model.predict_many(Q), model.input_gradient_many(Q)) for Q in X]
+    got, start = [[], []], threading.Barrier(2, timeout=60)
+
+    def user(j):
+        start.wait()
+        for _ in range(4):
+            got[j].append((model.predict_many(X[j]), model.input_gradient_many(X[j])))
+
+    users = [threading.Thread(target=user, args=(j,)) for j in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in users:
+            t.start()
+        for t in users:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in users)
+    for results, (pred, grad) in zip(got, want):
+        assert len(results) == 4
+        for p, g in results:
+            np.testing.assert_array_equal(p, pred)
+            np.testing.assert_array_equal(g, grad)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_queries_after_a_multi_tile_query(monkeypatch):
+    # lanes are threads of one call, not a pool, so a child forked after a
+    # multi-lane query finds no half-owned workers and answers its own
+    lane_count(monkeypatch, 2)
+    model = random_model("piecewise-linear", "squared-error", 2)
+    X = np.random.Generator(np.random.PCG64(10)).uniform(-1.0, 2.0, size=(700, 2))
+    pred, grad = model.predict_many(X), model.input_gradient_many(X)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            same = (np.array_equal(model.predict_many(X), pred)
+                    and np.array_equal(model.input_gradient_many(X), grad))
+            code = 0 if same else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its query within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 ACTIVATION_FNS = {
@@ -227,8 +355,8 @@ def ulps(got, want):
 
 
 def test_softplus_kernel_within_ulps_of_reference():
-    h = _act("smooth-softplus", KERNEL_Z.copy())
-    d = _act_deriv("smooth-softplus", h)
+    h = _act("smooth-softplus", KERNEL_Z.copy(), np.empty_like(KERNEL_Z))
+    d = _act_deriv("smooth-softplus", h, np.empty_like(h))
     assert np.isfinite(h).all() and np.isfinite(d).all()
     # measured 2 and 2 ulps here (3 and 2 on a dense grid over [-760, 760]);
     # the sigmoid reference is evaluated in extended precision and rounded once
@@ -242,8 +370,8 @@ def test_softplus_kernel_within_ulps_of_reference():
     ("piecewise-linear", lambda z: (z > 0).astype(float)),
 ])
 def test_exact_activation_kernels_match_references(activation, deriv):
-    h = _act(activation, KERNEL_Z.copy())
-    d = _act_deriv(activation, h)
+    h = _act(activation, KERNEL_Z.copy(), np.empty_like(KERNEL_Z))
+    d = _act_deriv(activation, h, np.empty_like(h))
     assert np.isfinite(h).all() and np.isfinite(d).all()
     np.testing.assert_array_equal(h, ACTIVATION_FNS[activation](KERNEL_Z))
     np.testing.assert_array_equal(d, deriv(KERNEL_Z))
