@@ -45,7 +45,7 @@ from .properties import (
     encoding_property_table,
 )
 from .render import render_heatmap
-from .serialize import floats_to_lists
+from .serialize import plain
 
 
 def _resolve_lp(value: str | None, fallback: str = "box") -> LinearProgram:
@@ -79,10 +79,13 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _write_json(path: str, obj) -> None:
+def _write_report(args, name: str, obj) -> None:
+    """Write ``obj`` as indented JSON to ``name`` under --out and say so."""
+    path = os.path.join(_outdir(args), name)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(floats_to_lists(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=plain)
         fh.write("\n")
+    print(f"wrote {path}")
 
 
 def _config(cls, args):
@@ -208,17 +211,10 @@ def _cmd_props(args) -> None:
                 mismatches += 1
             marks.append(mark.ljust(len(name)))
         print(f"{kind.ljust(col)}  " + "  ".join(marks))
-    path = os.path.join(_outdir(args), "properties.json")
-    _write_json(
-        path,
-        {
-            kind: {"row": reports[kind].as_row(), "stats": reports[kind].stats}
-            for kind in ENCODING_KINDS
-        },
-    )
     if mismatches:
         print(f"{mismatches} cell(s) deviate from the reference table (marked *)")
-    print(f"wrote {path}")
+    table = {kind: {"row": reports[kind].as_row(), "stats": reports[kind].stats} for kind in ENCODING_KINDS}
+    _write_report(args, "properties.json", table)
 
 
 def _cmd_exp_lime_sal(args) -> None:
@@ -238,9 +234,7 @@ def _cmd_exp_lime_sal(args) -> None:
             f"  mean magnitude {row['mean_magnitude']:.5f}  points {row['points_used']}"
         )
     print(f"excluded degenerate points: {report['excluded_degenerate']}")
-    path = os.path.join(_outdir(args), "exp-lime-vs-saliency.json")
-    _write_json(path, report)
-    print(f"wrote {path}")
+    _write_report(args, "exp-lime-vs-saliency.json", report)
 
 
 def _cmd_exp_directed_fp(args) -> None:
@@ -250,9 +244,7 @@ def _cmd_exp_directed_fp(args) -> None:
         f"max |directed probe - least-squares fit| = {report['max_abs_deviation']:.3e} "
         f"over {report['points']} points (undirected control max {report['control_max_deviation']:.3e})"
     )
-    path = os.path.join(_outdir(args), "exp-directed-fp.json")
-    _write_json(path, report)
-    print(f"wrote {path}")
+    _write_report(args, "exp-directed-fp.json", report)
 
 
 def _cmd_exp_5d(args) -> None:
@@ -272,9 +264,7 @@ def _cmd_exp_5d(args) -> None:
                 for v, small in zip(entry["values"], entry["small"])
             ]
             print(f"  {tag:<22} {' '.join(cells)}  (~ = |a| < {report['small_threshold']})")
-    path = os.path.join(_outdir(args), "exp-5dim.json")
-    _write_json(path, report)
-    print(f"wrote {path}")
+    _write_report(args, "exp-5dim.json", report)
 
 
 def _cmd_render(args) -> None:

@@ -20,7 +20,7 @@ from .attribution import IGConfig, PerturbConfig, attribute_many, method_setting
 from .errors import ConfigurationError, ValidationError, malformed_file
 from .render import render_heatmap
 from .seeding import sub_seed
-from .serialize import canonical_json, digest_of, floats_to_lists, format_float, sha256_hex
+from .serialize import canonical_json, digest_of, format_float, sha256_hex
 
 DEFAULT_RESOLUTION = (100, 73)
 
@@ -108,7 +108,7 @@ def grid_attribution(
     prov = {
         "method": method,
         "seed": seed,
-        "spec": floats_to_lists(asdict(spec)),
+        "spec": asdict(spec),
         # the cells' seeds come from the grid seed above, so perturb_cfg.seed is left out
         "config_digest": digest_of({k: v for k, v in settings.items() if k != "seed"}),
     }

@@ -18,11 +18,11 @@ Design points that the rest of the package leans on:
   BLAS threads to pay, so a query uses every CPU when BLAS runs one thread
   (OPENBLAS_NUM_THREADS=1) and one lane under BLAS's default of one thread
   per CPU. Lane 0 is the caller; the others are threads started and joined
-  inside the call, and a helper's exception is re-raised by the call. Each
-  tile writes only its own rows of the output and nothing is summed across
-  tiles, so the bits ignore the lane count and the schedule. Threads live
-  only as long as their call, not in a pool whose workers a fork leaves
-  behind, so a forked child queries like its parent;
+  inside the call, and a lane's exception is raised by the call once every
+  lane has joined. Each tile writes only its own rows of the output and
+  nothing is summed across tiles, so the bits ignore the lane count and the
+  schedule. Threads live only as long as their call, not in a pool whose
+  workers a fork leaves behind, so a forked child queries like its parent;
 - workspaces: each lane allocates one block of buffers per call (the input
   tile, each layer's output, an activation scratch and two delta buffers
   the backward pass alternates between) and every pass writes into them, so
@@ -219,27 +219,22 @@ class Model(_PointQueries):
         failures = []
 
         def lane(j):
-            ws = _Workspace(self.weights, TILE_ROWS)
-            tile = ws.layers[0]
-            for s in starts[j::lanes]:
-                k = min(TILE_ROWS, len(X) - s)
-                tile[:k], tile[k:] = self._normalize(X[s : s + k]), 0.0
-                fill(ws, out[s : s + k])
-
-        def helper(j):
             try:
-                lane(j)
+                ws = _Workspace(self.weights, TILE_ROWS)
+                tile = ws.layers[0]
+                for s in starts[j::lanes]:
+                    k = min(TILE_ROWS, len(X) - s)
+                    tile[:k], tile[k:] = self._normalize(X[s : s + k]), 0.0
+                    fill(ws, out[s : s + k])
             except BaseException as exc:
                 failures.append(exc)
 
-        threads = [threading.Thread(target=helper, args=(j,)) for j in range(1, lanes)]
+        threads = [threading.Thread(target=lane, args=(j,)) for j in range(1, lanes)]
         for t in threads:
             t.start()
-        try:
-            lane(0)
-        finally:
-            for t in threads:
-                t.join()
+        lane(0)
+        for t in threads:
+            t.join()
         if failures:
             raise failures[0]
         return out
@@ -304,6 +299,15 @@ def _init_layers(input_dim: int, config: ModelConfig, gen: np.random.Generator):
     return weights, biases
 
 
+def _loss(kind: str, out: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean loss of the network outputs ``out`` (logits for logistic models)
+    against ``y``, and the gradient of the summed loss with respect to ``out``."""
+    if kind == "logistic":
+        # binary cross-entropy via logaddexp for stability
+        return float(np.mean(np.logaddexp(0.0, out) - y * out)), _sigmoid(out) - y
+    return float(np.mean((out - y) ** 2)), 2.0 * (out - y)
+
+
 def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model:
     """Train on raw arrays. ``bbox`` fixes the input normalization."""
     X = np.asarray(X, dtype=float)
@@ -335,14 +339,8 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
             layers = [a[:k] for a in ws.layers]
             layers[0][:], yb = Z[idx], y[idx]
             out = _forward(weights, biases, act, layers, ws.scratch)[:, 0]
-            if config.loss == "logistic":
-                p = _sigmoid(out)
-                # binary cross-entropy via logaddexp for stability
-                loss = float(np.mean(np.logaddexp(0.0, out) - yb * out))
-                delta = (p - yb)[:, None] / k
-            else:
-                loss = float(np.mean((out - yb) ** 2))
-                delta = (2.0 * (out - yb))[:, None] / k
+            loss, grad = _loss(config.loss, out, yb)
+            delta = grad[:, None] / k
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(
                     "loss became non-finite", last_state={"weights": weights, "biases": biases}
@@ -358,14 +356,9 @@ def fit_arrays(X, y, config: ModelConfig, bbox, val_X=None, val_y=None) -> Model
 
     summary = {"train_loss": train_loss}
     if val_X is not None and len(val_X) > 0:
-        pv = model.predict_many(val_X)
-        if config.loss == "logistic":
-            eps = 1e-12
-            summary["val_loss"] = float(
-                -np.mean(val_y * np.log(pv + eps) + (1 - val_y) * np.log(1 - pv + eps))
-            )
-        else:
-            summary["val_loss"] = float(np.mean((pv - val_y) ** 2))
+        out = model._tiled(val_X, 1, model._predict_tile)[:, 0]  # logits for logistic models
+        summary["val_loss"] = _loss(config.loss, out, val_y)[0]
+        pv = _sigmoid(out) if config.loss == "logistic" else out
         if np.isin(val_y, (0.0, 1.0)).all():
             summary["val_accuracy"] = float(np.mean((pv >= 0.5) == (val_y >= 0.5)))
     model.training_summary = summary

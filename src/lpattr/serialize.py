@@ -1,9 +1,9 @@
 """Deterministic text serialization helpers.
 
-All floating-point values written by this package go through
-:func:`format_float`, which emits 17 significant decimal digits. That is
-enough for an exact float64 round trip, so files regenerate byte-identically
-from identical inputs.
+CSV floats go through :func:`format_float` (17 significant digits) and JSON
+writes Python's shortest round-trip repr; both are exact for float64, so
+files regenerate byte-identically from identical inputs. numpy arrays and
+scalars reach JSON through one ``default=`` hook, :func:`plain`.
 """
 
 from __future__ import annotations
@@ -11,33 +11,19 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 
 def format_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def floats_to_lists(a):
-    """Recursively convert numpy containers into plain Python for JSON."""
-    if isinstance(a, np.ndarray):
-        return floats_to_lists(a.tolist())
-    if isinstance(a, (np.bool_, bool)):
-        return bool(a)
-    if isinstance(a, (np.floating, float)):
-        return float(a)
-    if isinstance(a, (np.integer, int)):
-        return int(a)
-    if isinstance(a, (list, tuple)):
-        return [floats_to_lists(x) for x in a]
-    if isinstance(a, dict):
-        return {k: floats_to_lists(v) for k, v in a.items()}
-    return a
+def plain(value):
+    """json ``default=`` hook: numpy arrays and scalars as plain Python."""
+    return value.tolist()
 
 
 def canonical_json(obj) -> str:
     """JSON with sorted keys and no whitespace; stable across runs."""
-    return json.dumps(floats_to_lists(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=plain)
 
 
 def sha256_hex(data) -> str:

@@ -153,6 +153,24 @@ class TestPipeline:
         assert (tmp_path / "files" / "data-feasibility.csv").exists()
 
 
+@pytest.mark.parametrize("preset, want", [
+    ({}, "1 1"),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "3 None"),
+    ({"OMP_NUM_THREADS": "3"}, "None 3"),
+], ids=["unset", "openblas-set", "omp-set"])
+def test_cli_runs_one_blas_thread_unless_told_otherwise(preset, want):
+    # the CLI entry point sets one BLAS thread before numpy loads, so model
+    # queries get a lane per CPU; a thread count the user set is kept
+    env = lpattr_subprocess_env()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
+    env.update(preset)
+    code = "import os, lpattr.__main__; print(*map(os.environ.get, ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')))"
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == want
+
+
 class TestFlagsReachConfig:
     def test_train_flags_fill_model_config(self, tmp_path):
         want = ModelConfig(depth=3, hidden_width=8, activation="tanh", loss="logistic",

@@ -7,6 +7,7 @@ convergence and equivalence claims can be checked without training noise.
 import numpy as np
 import pytest
 
+import lpattr.experiments
 from lpattr.errors import ConfigurationError, InconclusiveError, ValidationError
 from lpattr.experiments import (
     _pick_instances,
@@ -86,6 +87,27 @@ class TestLimeVsSaliency:
         rep = experiment_lime_vs_saliency(quad_model(), points=20, seed=2, ridge_lambda=0.0, check=False)
         mags = [r["mean_magnitude"] for r in rep["rows"]]
         assert not (mags[0] > mags[1] > mags[2])  # near-constant, not shrinking
+
+    @pytest.mark.parametrize("ridge_lambda, message", [
+        (0.0, "cosine similarity not monotone"),
+        (1.0, "surrogate magnitude not strictly decreasing"),
+    ])
+    def test_check_gates_raise_on_broken_trends(self, monkeypatch, ridge_lambda, message):
+        # slopes that turn away from the gradient and grow as the radius
+        # shrinks break both trends: the gate of each regime must raise, and
+        # check=False must report the same rows without raising
+        def turning_slopes(model, X, method, perturb_cfg, seeds):
+            g, r = model.input_gradient_many(X), perturb_cfg.radius
+            c, s = np.cos(1.0 - r), np.sin(1.0 - r)
+            return np.stack([c * g[:, 0] - s * g[:, 1], s * g[:, 0] + c * g[:, 1]], axis=1) / r
+
+        monkeypatch.setattr(lpattr.experiments, "attribute_many", turning_slopes)
+        kw = dict(radii=(0.5, 0.1, 0.02), points=20, seed=2, ridge_lambda=ridge_lambda)
+        with pytest.raises(InconclusiveError, match=message):
+            experiment_lime_vs_saliency(quad_model(), **kw)
+        rows = experiment_lime_vs_saliency(quad_model(), check=False, **kw)["rows"]
+        cos, mags = [r["mean_cosine"] for r in rows], [r["mean_magnitude"] for r in rows]
+        assert cos[0] > cos[1] > cos[2] and mags[0] < mags[1] < mags[2]
 
 
 class TestDirectedFp:

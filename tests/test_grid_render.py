@@ -20,6 +20,7 @@ from lpattr.grid import (
 )
 from lpattr.nn import AnalyticModel
 from lpattr.render import colormap_bytes, read_ppm, render_heatmap
+from lpattr.serialize import canonical_json
 
 
 def quad_model():
@@ -237,3 +238,13 @@ class TestColormap:
         # top row (r=0) holds the y_idx=1 values in x order
         assert img[0, 0] == ch[0, 1] and img[0, 1] == ch[1, 1]
         assert img[1, 0] == ch[0, 0] and img[1, 1] == ch[1, 0]
+
+
+def test_manifest_json_writes_numpy_values_as_plain_python():
+    # numpy arrays and scalars (a grid spec's fixed values, digests of
+    # settings) reach JSON through one default= hook and come out as the
+    # text of the equal Python values; tuples become lists
+    numpy_values = {"a": np.array([[1.5, -0.0], [np.nan, np.inf]]), "b": np.bool_(True), "d": np.float64(0.1),
+                    "f": np.float32(0.5), "i": np.int64(3), "t": (np.int32(1), 2.5), "u": np.uint8(7)}
+    text = '{"a":[[1.5,-0.0],[NaN,Infinity]],"b":true,"d":0.1,"f":0.5,"i":3,"t":[1,2.5],"u":7}'
+    assert canonical_json(numpy_values) == text

@@ -377,14 +377,19 @@ def test_exact_activation_kernels_match_references(activation, deriv):
     np.testing.assert_array_equal(d, deriv(KERNEL_Z))
 
 
-def batch_loss(weights, biases, X, y, activation, loss):
-    """Training loss by an independent forward pass (unit box: no normalization)."""
+def network_outputs(weights, biases, X, activation):
+    """Last-layer outputs by an independent forward pass (unit box: no normalization)."""
     h = X
     for i, (W, b) in enumerate(zip(weights, biases)):
         h = h @ W.T + b
         if i < len(weights) - 1:
             h = ACTIVATION_FNS[activation](h)
-    out = h[:, 0]
+    return h[:, 0]
+
+
+def batch_loss(weights, biases, X, y, activation, loss):
+    """Training loss of the network_outputs."""
+    out = network_outputs(weights, biases, X, activation)
     if loss == "logistic":
         return np.mean(np.logaddexp(0.0, out) - y * out)
     return np.mean((out - y) ** 2)
@@ -427,6 +432,25 @@ def test_training_step_applies_loss_gradient(activation, loss):
                 want = loss_gradient(models[k], name, layer, idx)
                 # measured worst relative error 6e-8 over these cases
                 assert abs(applied - want) <= 1e-6 * (1e-3 + abs(want)), (momentum, k, name, layer, idx)
+
+
+def test_logistic_val_loss_is_the_training_loss_of_the_logits():
+    # validation uses the training loss of the logits, so a far-out row the
+    # model gets confidently wrong counts in full, not capped near 27.6 as a
+    # clipped cross-entropy of the sigmoid outputs would
+    rng = np.random.Generator(np.random.PCG64(6))
+    X = rng.uniform(0, 1, size=(64, 2))
+    y = (X.sum(axis=1) > 1).astype(float)
+    cfg = tiny_config(loss="logistic", epochs=5)
+    val_X = np.array([[0.5, 0.5], [1000.0, -1000.0]])  # the second row far outside the unit box
+    plain = fit_arrays(X, y, cfg, UNIT_BOX2)
+    logits = network_outputs(plain.weights, plain.biases, val_X, "smooth-softplus")
+    assert abs(logits[1]) > 100
+    val_y = (logits < 0).astype(float)  # both rows labelled wrong
+    model = fit_arrays(X, y, cfg, UNIT_BOX2, val_X=val_X, val_y=val_y)
+    want = batch_loss(model.weights, model.biases, val_X, val_y, "smooth-softplus", "logistic")
+    assert want > 50
+    assert model.training_summary["val_loss"] == pytest.approx(want, rel=1e-12)
 
 
 def test_divergence_raises_with_state():

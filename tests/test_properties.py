@@ -97,6 +97,22 @@ def test_class_witness_sound_on_fresh_samples(box_table):
         assert (got == truth).all(), kind
 
 
+@pytest.mark.parametrize("shift, threshold", [(0.0, 0.0), (5.0, 5.0)], ids=["zero-in-gap", "midpoint"])
+def test_class_witness_feasible_below(shift, threshold):
+    # an encoding lower on the feasible side: the gap runs from the feasible
+    # maximum to the infeasible minimum, and the threshold is 0 when 0 lies
+    # in it, else the gap's midpoint; near-boundary samples are left out
+    slacks = np.array([0.5, 0.2, 1e-12, -0.3, -0.1])
+    vals = np.array([-2.0, -1.0, 50.0, 3.0, 1.0]) + shift
+    ok, w = properties._check_distinguish_class(vals, slacks)
+    assert ok and w["orientation"] == "feasible-below" and w["threshold"] == threshold
+    assert w["feasible_interval"] == (shift - 2.0, shift - 1.0)
+    assert w["infeasible_interval"] == (shift + 1.0, shift + 3.0)
+    report = properties.PropertyReport("test", True, True, True, True, {"distinguish_class": w}, 5, 0)
+    got = classify_with_witness(report, vals[[0, 1, 3, 4]])
+    np.testing.assert_array_equal(got, [True, True, False, False])
+
+
 def test_witness_refused_when_property_failed(box_table):
     with pytest.raises(ValidationError):
         classify_with_witness(box_table["gain-penalty"], np.array([1.0]))
