@@ -8,6 +8,9 @@ feasible set, and optimizing ``c.x`` over the vertices.
 Two results depend on the program alone and are memoised on it: the vertex
 set (``enumerate_vertices``) and the factored active sets that the
 projection tries (``project_feasible_many``); pickles and copies carry both.
+The vertex set comes from a walk over the feasible bases, so its cost grows
+with the number of vertices, not with the C(m+n, n) choices of hyperplanes;
+the projection still tries active sets in ``combinations`` order.
 
 Throughout, "constraints" means the rows of ``A x <= b``; the nonnegativity
 bounds ``x >= 0`` are tracked separately and only enter feasibility and the
@@ -19,8 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
-from math import comb
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from .serialize import digest_of, format_float
 FEAS_TOL = 1e-9
 # Two candidate vertices closer than this (Euclidean) are duplicates.
 VERTEX_DEDUP_TOL = 1e-7
+# Most hyperplane subsets one batched solve takes while looking for a
+# feasible basis to start the vertex walk from.
+SCAN_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,10 @@ def _as_points(lp: LinearProgram, X) -> np.ndarray:
 
 
 def slack_values(lp: LinearProgram, X) -> np.ndarray:
-    """Row slacks ``b - A x`` for a batch of points, shape (N, m)."""
-    return lp.b[None, :] - _as_points(lp, X) @ lp.A.T
+    """Row slacks ``b - A x`` for a batch of points, shape (N, m), computed
+    in the product's own buffer."""
+    S = _as_points(lp, X) @ lp.A.T
+    return np.subtract(lp.b, S, out=S)
 
 
 def _row_min(M: np.ndarray) -> np.ndarray:
@@ -150,40 +157,111 @@ def min_slack(lp: LinearProgram, x) -> float:
     return float(min_slack_many(lp, as_point(lp, x))[0])
 
 
-def enumerate_vertices(lp: LinearProgram) -> VertexSet:
-    """All extreme points of ``{A x <= b, x >= 0}``.
+def _solve_bases(normals: np.ndarray, offsets: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Solution of each system ``normals[rows] x = offsets[rows]``, one per
+    row of the (k, n) index array ``bases``; NaN rows where it is singular.
+    One batched solve, or one solve per system when a singular one fails
+    the batch; LAPACK factors each system alike either way."""
+    try:
+        return np.linalg.solve(normals[bases], offsets[bases][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(bases.shape, np.nan)
+        for i, rows in enumerate(bases):
+            try:
+                out[i] = np.linalg.solve(normals[rows], offsets[rows])
+            except np.linalg.LinAlgError:
+                continue  # singular choice of hyperplanes, skip
+        return out
 
-    Candidates come from every choice of ``n`` active hyperplanes among the
-    ``m`` constraint rows and the ``n`` axis planes ``x_i = 0``; nonsingular
-    systems are solved, infeasible or duplicate solutions dropped. The
-    polytope must be bounded, otherwise the result is incomplete by nature
-    and an empty result raises. Solutions fill a NaN-initialised (C(m+n, n), n)
-    array, whose finite rows are kept. Computed once per program and memoised
-    on it, like the projection's active sets; the array is read-only.
+
+def _feasible_bases(lp: LinearProgram) -> dict:
+    """Every feasible basis, as sorted row tuple -> solution.
+
+    A basis is ``n`` of the ``m + n`` hyperplanes (constraint rows, then
+    axis planes) whose system is nonsingular and whose solution is finite
+    and passes ``feasible_mask``. The walk starts from the axis basis when
+    the origin is feasible, else from the first feasible basis in
+    ``combinations`` order (an empty program scans them all and raises).
+    From each feasible basis it solves, in one batch, the neighbours that
+    swap one of its rows for one outside it. Each basis is solved once;
+    feasible ones join the walk.
     """
-    if lp._vertex_set is not None:
-        return lp._vertex_set
-    n, m = lp.n, lp.m
+    n, total = lp.n, lp.m + lp.n
     normals = np.vstack([lp.A, np.eye(n)])
     offsets = np.concatenate([lp.b, np.zeros(n)])
-    solutions = np.full((comb(m + n, n), n), np.nan)
-    for i, rows in enumerate(combinations(range(m + n), n)):
-        try:
-            solutions[i] = np.linalg.solve(normals[list(rows)], offsets[list(rows)])
-        except np.linalg.LinAlgError:
-            continue  # singular choice of hyperplanes, skip
-    cand = solutions[np.isfinite(solutions).all(axis=1)]
-    cand = cand[feasible_mask(lp, cand)]
-    # lexicographic order makes dedup and downstream tie-breaks deterministic
-    kept: list[np.ndarray] = []
-    for v in cand[np.lexsort(cand.T[::-1])]:
-        if not kept or min(np.linalg.norm(v - w) for w in kept) > VERTEX_DEDUP_TOL:
-            kept.append(v)
-    if not kept:
+
+    def feasible(X):
+        return np.isfinite(X).all(axis=1) & feasible_mask(lp, X)
+
+    # the scan solves in batches that double from the axis basis alone
+    subsets, size = chain([tuple(range(lp.m, total))], combinations(range(total), n)), 1
+    while chunk := list(islice(subsets, size)):
+        X = _solve_bases(normals, offsets, np.array(chunk))
+        ok = feasible(X)
+        if ok.any():
+            start, x = chunk[ok.argmax()], X[ok.argmax()]
+            break
+        size = min(2 * size, SCAN_BATCH)
+    else:
         raise EmptyVertexSetError(
             "no feasible vertex found; the feasible set is empty or the enumeration is incomplete"
         )
-    vertices = np.array(kept)
+    found = {start: x}
+    seen, todo = {start}, [start]
+    while todo:
+        basis = todo.pop()
+        swaps = {
+            tuple(sorted(basis[:i] + basis[i + 1:] + (j,)))
+            for i in range(n) for j in range(total) if j not in basis
+        }
+        fresh = sorted(swaps - seen)
+        if not fresh:
+            continue
+        seen.update(fresh)
+        X = _solve_bases(normals, offsets, np.array(fresh))
+        for rows, x, ok in zip(fresh, X, feasible(X)):
+            if ok:
+                found[rows] = x
+                todo.append(rows)
+    return found
+
+
+def enumerate_vertices(lp: LinearProgram) -> VertexSet:
+    """All extreme points of ``{A x <= b, x >= 0}``.
+
+    A vertex is the solution of ``n`` active hyperplanes among the ``m``
+    constraint rows and the ``n`` axis planes ``x_i = 0``. Rather than solve
+    all C(m+n, n) choices, ``_feasible_bases`` walks the graph of feasible
+    bases, so time and memory grow with the number of feasible bases and
+    their ``n·m`` neighbours. In exact arithmetic the walk misses no basis:
+    the bases of one (degenerate) vertex are joined by matroid basis
+    exchange, two vertices on an edge have bases one exchange apart, and the
+    vertices and bounded edges of a pointed polyhedron form a connected
+    graph. So it finds the feasible bases a loop over every subset finds,
+    each solved alike; the tests hold the two to the same bytes, degenerate
+    and 1e-10-perturbed programs included. The solutions, in row-tuple
+    order, are sorted lexicographically and near-duplicates dropped. An
+    unbounded polyhedron yields its vertices only; an empty one raises.
+    Computed once per program and memoised on it, like the projection's
+    active sets; the array is read-only.
+    """
+    if lp._vertex_set is not None:
+        return lp._vertex_set
+    bases = _feasible_bases(lp)
+    # row-tuple order is the subset loop's order; lexsort is stable and ties
+    # 0.0 with -0.0, so this order decides which of such rows dedup keeps
+    cand = np.array([bases[rows] for rows in sorted(bases)])
+    # lexicographic order makes dedup and downstream tie-breaks deterministic
+    cand = cand[np.lexsort(cand.T[::-1])]
+    kept: list[int] = []
+    for i, v in enumerate(cand):
+        # a kept row with a coordinate more than twice the tolerance away is
+        # farther than the tolerance; only the others need their distance
+        earlier = cand[kept]
+        near = earlier[np.abs(earlier - v).max(axis=1) <= 2 * VERTEX_DEDUP_TOL]
+        if all(np.linalg.norm(v - w) > VERTEX_DEDUP_TOL for w in near):
+            kept.append(i)
+    vertices = cand[kept]
     vertices.setflags(write=False)
     origin_included = bool((np.linalg.norm(vertices, axis=1) <= VERTEX_DEDUP_TOL).any())
     object.__setattr__(lp, "_vertex_set", VertexSet(vertices=vertices, origin_included=origin_included))

@@ -4,14 +4,21 @@ session and shared by the attribution, grid, and acceptance tests."""
 import os
 from pathlib import Path
 
-import numpy as np
-import pytest
+# As in `python -m lpattr`: one BLAS thread, so model queries deal their
+# tiles to one lane per CPU (see lpattr.nn). OpenBLAS reads these variables
+# once, when numpy loads, so they are set before the first numpy import; a
+# thread count already set in either one wins.
+if not (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
-import lpattr
-from lpattr.data import generate_dataset
-from lpattr.encodings import ENCODING_KINDS, make_encoding
-from lpattr.fixtures import lp_5d, lp_box
-from lpattr.nn import ModelConfig, train_model
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import lpattr  # noqa: E402
+from lpattr.data import generate_dataset  # noqa: E402
+from lpattr.encodings import ENCODING_KINDS, make_encoding  # noqa: E402
+from lpattr.fixtures import lp_5d, lp_box  # noqa: E402
+from lpattr.nn import ModelConfig, train_model  # noqa: E402
 
 BOX_SEED = 501
 BOX_COUNT = 20_000

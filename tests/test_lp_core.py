@@ -3,21 +3,30 @@
 The oracles here are written from the mathematical definitions, independent
 of the library internals: an exhaustive hyperplane-subset vertex enumerator
 with its own dedup strategy, a dense-grid argmin projection oracle, and the
-variational-inequality certificate of Euclidean projections.
+variational-inequality certificate of Euclidean projections. The subset loop
+that ``enumerate_vertices`` once ran is kept here too, as the byte-level
+oracle of its walk over feasible bases.
 """
 
 import copy
 import itertools
 import pickle
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
-from lpattr.errors import DimensionMismatchError, ProjectionFailureError, ValidationError
-from lpattr.fixtures import lp_box, lp_tri, random_positive_lp
+from lpattr.errors import (
+    DimensionMismatchError,
+    EmptyVertexSetError,
+    ProjectionFailureError,
+    ValidationError,
+)
+from lpattr.fixtures import lp_5d, lp_box, lp_tri, random_positive_lp
 from lpattr.lp import (
     FEAS_TOL,
+    VERTEX_DEDUP_TOL,
     LinearProgram,
     enumerate_vertices,
     feasible_mask,
@@ -58,6 +67,30 @@ def oracle_vertices(c, A, b, tol=1e-9):
         if (A @ v <= b + tol).all() and (v >= -tol).all():
             found[tuple(np.round(v, 6))] = v
     return sorted(found.values(), key=tuple)
+
+
+def subset_loop_vertices(lp):
+    """The vertex array by solving every choice of n hyperplanes in
+    ``combinations`` order, then lexsort and greedy dedup: the C(m+n, n)
+    enumeration whose bytes the walk over feasible bases must reproduce."""
+    n, m = lp.n, lp.m
+    normals = np.vstack([lp.A, np.eye(n)])
+    offsets = np.concatenate([lp.b, np.zeros(n)])
+    solutions = np.full((comb(m + n, n), n), np.nan)
+    for i, rows in enumerate(itertools.combinations(range(m + n), n)):
+        try:
+            solutions[i] = np.linalg.solve(normals[list(rows)], offsets[list(rows)])
+        except np.linalg.LinAlgError:
+            continue
+    cand = solutions[np.isfinite(solutions).all(axis=1)]
+    cand = cand[feasible_mask(lp, cand)]
+    kept = []
+    for v in cand[np.lexsort(cand.T[::-1])]:
+        if not kept or min(np.linalg.norm(v - w) for w in kept) > VERTEX_DEDUP_TOL:
+            kept.append(v)
+    if not kept:
+        raise EmptyVertexSetError("no feasible vertex")
+    return np.array(kept)
 
 
 def oracle_grid_projection(lp, x, per_axis=401):
@@ -206,6 +239,98 @@ def test_vertex_soundness():
         active = np.abs(normals @ v - offsets) <= 1e-7
         assert active.sum() >= lp.n
         assert np.linalg.matrix_rank(normals[active]) == lp.n
+
+
+def integer_program(seed, noise):
+    """A 4-d program with small integer coefficients, some negative, so that
+    degenerate vertices, an infeasible origin and empty sets all occur; with
+    ``noise`` every coefficient moves by about 1e-10, splitting the
+    degenerate vertices into clusters closer than the tolerances."""
+    gen = np.random.Generator(np.random.PCG64(1000 + seed))
+    A = gen.integers(-2, 4, size=(5, 4)).astype(float)
+    b = gen.integers(-1, 6, size=5).astype(float)
+    if noise:
+        A += 1e-10 * gen.standard_normal(A.shape)
+        b += 1e-10 * gen.standard_normal(b.shape)
+    return LinearProgram(c=np.ones(4), A=A, b=b)
+
+
+HAND_BUILT = {
+    # (4, 0) lies on x1 + x2 = 4, x1 = 4 and x2 = 0
+    "three-planes": ([[1, 1], [1, 0]], [4, 4]),
+    # four facets meet at the apex (1, 1, 1)
+    "pyramid-apex": ([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]], [2, 0, 2, 0]),
+    # the cut x1 + x2 + x3 <= 3 passes through the unit cube's corner (1, 1, 1)
+    "cube-corner": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [1, 1, 1, 3]),
+    "duplicate-rows": ([[1, 1, 0], [1, 1, 0], [0, 1, 1]], [2, 2, 3]),
+    "unbounded": ([[1, -1, 0], [0, 1, -1]], [1, 2]),
+    # x1 >= 1, so the origin is infeasible and the walk starts from a scanned basis
+    "negative-b": ([[-1, -1, 0], [1, 1, 1], [0, 0, -1]], [-1, 5, -0.5]),
+    # x1 + x2 + x3 <= 1 and >= 2: both enumerations must raise
+    "empty": ([[1, 1, 1], [-1, -1, -1]], [1, -2]),
+}
+
+ORACLE_PROGRAMS = {
+    "box": lp_box,
+    "tri": lp_tri,
+    "5d": lp_5d,
+    **{name: (lambda A=A, b=b: LinearProgram(c=np.ones(len(A[0])), A=np.array(A, float),
+                                             b=np.array(b, float)))
+       for name, (A, b) in HAND_BUILT.items()},
+    **{f"random-{n}x{n + 2}-{seed}": (lambda n=n, seed=seed: random_positive_lp(n, n + 2, seed))
+       for n in range(2, 9) for seed in (3, 4)},
+    **{f"integer-4d-{seed}{'-noise' if noise else ''}": (lambda seed=seed, noise=noise: integer_program(seed, noise))
+       for seed in range(12) for noise in (False, True)},
+}
+
+
+@pytest.mark.parametrize("make_lp", ORACLE_PROGRAMS.values(), ids=ORACLE_PROGRAMS.keys())
+def test_vertices_equal_subset_loop(make_lp):
+    lp = make_lp()
+    try:
+        want = subset_loop_vertices(lp)
+    except EmptyVertexSetError:
+        with pytest.raises(EmptyVertexSetError):
+            enumerate_vertices(lp)
+        return
+    got = enumerate_vertices(lp).vertices
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, count", [(9, 102), (10, 377)])
+def test_vertex_certificates_beyond_the_oracle(n, count):
+    # too many subsets for the oracle: each vertex must be feasible and have
+    # n independent active rows; the counts are the subset loop's
+    lp = random_positive_lp(n, n + 2, seed=3)
+    V = enumerate_vertices(lp).vertices
+    assert V.shape == (count, n) and feasible_mask(lp, V).all()
+    normals = np.vstack([lp.A, np.eye(n)])
+    offsets = np.concatenate([lp.b, np.zeros(n)])
+    for v in V:
+        active = np.abs(normals @ v - offsets) <= 1e-12 * max(1.0, np.abs(offsets).max())
+        assert np.linalg.matrix_rank(normals[active]) == n
+
+
+# 9x11 has 102 vertices among C(20, 9) = 167,960 subsets; a walk over
+# feasible bases solves a few thousand systems in well under a megabyte
+
+
+def test_vertex_walk_memory_follows_the_output():
+    tracemalloc.start()
+    try:
+        enumerate_vertices(random_positive_lp(9, 11, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_vertex_walk_solves_follow_the_output(monkeypatch):
+    systems = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: systems.append(a.size // 9**2) or solve(a, b))
+    enumerate_vertices(random_positive_lp(9, 11, seed=3))
+    assert sum(systems) <= 5000
 
 
 # ---------------------------------------------------------------- projection
