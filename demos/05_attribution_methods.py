@@ -14,7 +14,6 @@ from lpattr.attribution import (
     PerturbConfig,
     attribute,
     directed_feature_permutation,
-    method_property_table,
 )
 from lpattr.nn import AnalyticModel
 
@@ -45,8 +44,3 @@ print(" - lime fits a tiny ridge model around x; the ridge pulls it toward 0")
 dfp = directed_feature_permutation(model, x, radius=0.1)
 print(f"\ndirected feature-permutation: {np.round(dfp.values, 4)}"
       "  (central difference of F per feature)")
-
-# Static method traits used by the property analysis.
-print("\nmethod traits (completeness / randomness / directedness / neighborhood):")
-for tag, traits in method_property_table().items():
-    print(f"  {tag:22s} {traits}")

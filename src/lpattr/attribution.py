@@ -6,8 +6,9 @@ to (N, n) values, and ``attribute`` and the per-point functions are one-row
 wrappers over it that add the method tag.
 
 - integrated_gradients: path integral of the gradient from a baseline,
-  trapezoid quadrature; sums to F(x) - F(baseline) up to quadrature error.
-- saliency: the raw input gradient.
+  trapezoid quadrature; sums to F(x) - F(baseline) up to quadrature error
+  (completeness). Its queries span the whole path, the least local method.
+- saliency: the raw input gradient, queried at x alone.
 - feature_permutation: for each feature, F(x) minus F(x with that feature
   displaced by a uniform random offset), averaged over repeats. Symmetric
   offsets make the expectation vanish on linear regions.
@@ -15,6 +16,11 @@ wrappers over it that add the method tag.
   (x, F(x)); the fitted slope vector is the attribution.
 - directed_feature_permutation: central difference per feature, a
   deterministic, sign-carrying variant of feature_permutation.
+
+feature_permutation and lime are random (seeded) and query within radius of
+x. ``properties.directedness_test`` measures directedness; for integrated
+gradients it is the baseline's trait, as entry i takes the sign of
+x_i - x'_i on a model increasing in every feature.
 
 Each core makes one model call per query, with the rows of all its points,
 except integrated gradients, which queries the paths of TILE_ROWS points at
@@ -244,48 +250,3 @@ def lime(model, x, cfg: PerturbConfig = PerturbConfig(), offsets=None) -> Attrib
 
 def directed_feature_permutation(model, x, radius: float = 0.1) -> AttributionVector:
     return attribute(model, x, DIRECTED, perturb_cfg=PerturbConfig(radius=radius))
-
-
-# Static trait table for the four methods. Neighborhoodness is an ordinal
-# rank of how local the method's queries are (0 = most global); the others
-# are booleans. Directedness marks whether the sign of the attribution
-# tracks the direction of output change under a feature increase.
-METHOD_TRAITS = {
-    "integrated-gradients": {
-        "gradient_based": True,
-        "perturbation_based": False,
-        "completeness": True,
-        "randomness": False,
-        "neighborhoodness": 0,
-        "directedness": False,
-    },
-    "saliency": {
-        "gradient_based": True,
-        "perturbation_based": False,
-        "completeness": False,
-        "randomness": False,
-        "neighborhoodness": 2,
-        "directedness": True,
-    },
-    "feature-permutation": {
-        "gradient_based": False,
-        "perturbation_based": True,
-        "completeness": False,
-        "randomness": True,
-        "neighborhoodness": 1,
-        "directedness": False,
-    },
-    "lime": {
-        "gradient_based": False,
-        "perturbation_based": True,
-        "completeness": False,
-        "randomness": True,
-        "neighborhoodness": 1,
-        "directedness": True,
-    },
-}
-
-
-def method_property_table() -> dict:
-    """Deep copy of the static method-trait table."""
-    return {k: dict(v) for k, v in METHOD_TRAITS.items()}

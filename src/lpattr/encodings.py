@@ -60,7 +60,7 @@ class Encoding:
     lp: LinearProgram
     kind: str
     excluded_vertices: np.ndarray | None = None
-    _retained: np.ndarray | None = field(default=None, repr=False)
+    _retained: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ENCODING_KINDS:

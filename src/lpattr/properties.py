@@ -1,5 +1,5 @@
 """Sampled checkers for four observable properties of an encoding, plus an
-empirical directedness test for attribution methods.
+empirical directedness test for any attribution method.
 
 The four encoding properties, each reduced to a falsifiable sampled
 predicate over a box around the polytope:
@@ -29,7 +29,7 @@ import numpy as np
 
 from .attribution import PerturbConfig, attribute_many
 from .encodings import Encoding, all_encodings, make_encoding
-from .errors import ConfigurationError, InconclusiveError, ValidationError
+from .errors import InconclusiveError, ValidationError
 from .lp import FEAS_TOL, LinearProgram, enumerate_vertices, min_slack_many, slack_values, vertex_bbox
 from .seeding import rng, sample_box, sub_seed
 
@@ -321,12 +321,14 @@ def directedness_test(
     radius: float = 0.05,
     true_partial_signs=None,
 ) -> DirectednessReport:
-    """Empirical directedness on a model with strictly monotone targets.
+    """Empirical directedness of any tag ``attribute_many`` accepts, on a
+    model with strictly monotone targets.
 
     directed: at least 95% of attribution entries carry the sign of the true
     partial derivative. undirected: the pooled mean attribution is within 3
     standard errors of 0 while the mean magnitude is not. Anything else
-    raises InconclusiveError rather than passing silently.
+    raises InconclusiveError rather than passing silently. Integrated
+    gradients gets the verdict of its default zero baseline.
     """
     if sample_count < 10:
         raise ValidationError("sample_count must be >= 10")
@@ -334,10 +336,6 @@ def directedness_test(
     signs = np.ones(n) if true_partial_signs is None else np.asarray(true_partial_signs, dtype=float)
     if signs.shape != (n,) or (signs == 0).any():
         raise ValidationError("true_partial_signs must be n nonzero values")
-    if method_tag not in ("saliency", "lime", "feature-permutation"):
-        raise ConfigurationError(
-            f"directedness is tested empirically for saliency, lime, feature-permutation; got {method_tag!r}"
-        )
     # keep perturbations inside the trained region
     X = sample_box(np.asarray(model.bbox, dtype=float), sample_count, rng(seed, 40), shrink=0.1)
     seeds = [sub_seed(seed, 41, i) for i in range(sample_count)]

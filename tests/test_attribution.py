@@ -18,7 +18,6 @@ from lpattr.attribution import (
     fit_local_slopes,
     integrated_gradients,
     lime,
-    method_property_table,
     saliency,
 )
 from lpattr.errors import ConfigurationError, RankDeficiencyError
@@ -281,23 +280,3 @@ def test_attribute_dispatch():
         assert av.values.shape == (2,)
     with pytest.raises(ConfigurationError):
         attribute(m, x, "gradcam")
-
-
-def test_method_property_table():
-    table = method_property_table()
-    assert set(table) == set(METHOD_TAGS)
-    assert table["integrated-gradients"]["completeness"] is True
-    assert table["saliency"]["completeness"] is False
-    assert table["integrated-gradients"]["gradient_based"] and table["saliency"]["gradient_based"]
-    assert table["feature-permutation"]["perturbation_based"] and table["lime"]["perturbation_based"]
-    assert not table["integrated-gradients"]["perturbation_based"]
-    assert table["feature-permutation"]["randomness"] and table["lime"]["randomness"]
-    assert not table["saliency"]["randomness"]
-    assert table["saliency"]["directedness"] and table["lime"]["directedness"]
-    assert not table["feature-permutation"]["directedness"]
-    assert not table["integrated-gradients"]["directedness"]
-    ranks = {k: v["neighborhoodness"] for k, v in table.items()}
-    assert ranks["integrated-gradients"] < ranks["feature-permutation"] == ranks["lime"] < ranks["saliency"]
-    # mutating the copy must not corrupt the source
-    table["lime"]["randomness"] = False
-    assert method_property_table()["lime"]["randomness"] is True

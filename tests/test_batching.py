@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from lpattr.attribution import (
+    DIRECTED,
     METHOD_TAGS,
     IGConfig,
     PerturbConfig,
@@ -89,7 +90,7 @@ def test_short_ig_paths_match_one_point_calls(model):
         np.testing.assert_array_equal(cells, per_point)
 
 
-@pytest.mark.parametrize("method", ["saliency", "lime", "feature-permutation"])
+@pytest.mark.parametrize("method", ["saliency", "lime", "feature-permutation", "integrated-gradients", DIRECTED])
 def test_directedness_matches_one_point_calls(monotone_model, method):
     seed, count, radius = 17, 300, 0.05
     report = directedness_test(method, monotone_model, sample_count=count, seed=seed, radius=radius)

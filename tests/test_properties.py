@@ -1,11 +1,13 @@
 """Property-checker tests: the trait table on the box program, witness
-soundness on fresh samples, and the directedness verdicts on a model with
-strictly increasing targets."""
+soundness on fresh samples, the directedness verdicts of every method on a
+model with strictly increasing targets, and the certificate that the signs
+of integrated gradients follow its baseline."""
 
 import numpy as np
 import pytest
 
 from lpattr import properties
+from lpattr.attribution import DIRECTED, IGConfig, attribute_many
 from lpattr.errors import ConfigurationError, InconclusiveError, ValidationError
 from lpattr.fixtures import lp_5d, lp_box, lp_tri, random_positive_lp
 from lpattr.lp import min_slack_many, vertex_bbox
@@ -13,6 +15,7 @@ from lpattr.nn import AnalyticModel
 from lpattr.properties import (
     EXPECTED_ENCODING_TRAITS,
     PROPERTY_NAMES,
+    SIGN_AGREEMENT_LEVEL,
     build_monotone_harness,
     check_encoding_properties,
     classify_with_witness,
@@ -230,15 +233,12 @@ def test_property_names_cover_report(box_table):
 # --------------------------------------------------------------- directedness
 
 
-def test_saliency_directed(monotone_model):
-    report = directedness_test("saliency", monotone_model, seed=1)
+@pytest.mark.parametrize("tag", ["saliency", "lime", "integrated-gradients", DIRECTED])
+def test_directed_on_monotone_model(monotone_model, tag):
+    # integrated gradients runs from its default zero baseline
+    report = directedness_test(tag, monotone_model, seed=1)
     assert report.directed
-    assert report.stats["sign_agreement"] >= 0.95
-
-
-def test_lime_directed(monotone_model):
-    report = directedness_test("lime", monotone_model, seed=2)
-    assert report.directed
+    assert report.stats["sign_agreement"] >= SIGN_AGREEMENT_LEVEL
 
 
 def test_feature_permutation_undirected(monotone_model):
@@ -249,9 +249,27 @@ def test_feature_permutation_undirected(monotone_model):
     assert s["magnitude_mean"] > 3 * s["magnitude_stderr"]
 
 
-def test_directedness_rejects_path_methods(monotone_model):
+def test_directedness_rejects_unknown_method(monotone_model):
     with pytest.raises(ConfigurationError):
-        directedness_test("integrated-gradients", monotone_model)
+        directedness_test("gradcam", monotone_model)
+
+
+@pytest.mark.parametrize("baseline, directed", [(0.0, True), (0.5, False)], ids=["zero", "centre"])
+def test_ig_sign_follows_its_baseline(baseline, directed):
+    """Certificate, no training: F = x1 + x2 + x1 x2 / 2 has positive partials
+    on the unit box, so IG_i = (x_i - x'_i) * (a positive path mean) has the
+    sign of x_i - x'_i entry for entry. From 0 every entry agrees with the
+    partials; from the box centre about half do."""
+    model = AnalyticModel(
+        fn=lambda X: X[:, 0] + X[:, 1] + 0.5 * X[:, 0] * X[:, 1],
+        grad=lambda X: np.stack([1.0 + 0.5 * X[:, 1], 1.0 + 0.5 * X[:, 0]], axis=1),
+        input_dim=2,
+        bbox=np.array([[0.0, 1.0], [0.0, 1.0]]),
+    )
+    X = sample_box(model.bbox, 300, rng(0, 0))
+    A = attribute_many(model, X, "integrated-gradients", ig_cfg=IGConfig(baseline=np.full(2, baseline)))
+    np.testing.assert_array_equal(np.sign(A), np.sign(X - baseline))
+    assert (float((A > 0).mean()) >= SIGN_AGREEMENT_LEVEL) == directed
 
 
 def test_directedness_inconclusive_on_flat_model():
