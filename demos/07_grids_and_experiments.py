@@ -56,6 +56,7 @@ rep = experiment_lime_vs_saliency(model, radii=(0.5, 0.1, 0.02), points=40,
                                   seed=2, ridge_lambda=1.0)
 print("ridge-regularized magnitudes:",
       [round(r["mean_magnitude"], 4) for r in rep["rows"]])
+print(f"checked trend, {rep['trend']}: holds = {rep['trend_holds']}")
 
 # Study 2: directed single-feature probes are algebraically a least-squares
 # fit on the same probes; the two agree to rounding error.

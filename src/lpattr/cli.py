@@ -3,8 +3,8 @@
 Subcommands: gen-data, train, attribute, grid, props, exp-lime-sal,
 exp-directed-fp, exp-5d, render, verify. Every subcommand accepts
 --lp/--seed/--out; --lp takes a program file or a built-in name (box, tri,
-5d). Exit codes: 0 success, 2 validation error, 3 numeric failure, 4
-inconclusive property check.
+5d). Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 a
+study could not measure, or its checked trend failed (report written).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import __version__
 from .attribution import METHOD_TAGS, IGConfig, PerturbConfig, attribute
 from .data import generate_dataset, label_residual, load_dataset, save_dataset
 from .encodings import ENCODING_KINDS, make_encoding
-from .errors import ConfigurationError, LpattrError, ValidationError
+from .errors import ConfigurationError, InconclusiveError, LpattrError, ValidationError
 from .experiments import (
     experiment_5dim,
     experiment_directed_fp,
@@ -226,7 +226,6 @@ def _cmd_exp_lime_sal(args) -> None:
         seed=args.seed,
         ridge_lambda=args.ridge_lambda,
         samples=args.samples,
-        check=not args.skip_check,
     )
     for row in report["rows"]:
         print(
@@ -235,6 +234,8 @@ def _cmd_exp_lime_sal(args) -> None:
         )
     print(f"excluded degenerate points: {report['excluded_degenerate']}")
     _write_report(args, "exp-lime-vs-saliency.json", report)
+    if not report["trend_holds"]:
+        raise InconclusiveError(f"trend {report['trend']!r} does not hold along the radii")
 
 
 def _cmd_exp_directed_fp(args) -> None:
@@ -386,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--points", type=int, default=50)
     sub.add_argument("--samples", type=int, default=50, help="surrogate sample count")
     sub.add_argument("--ridge-lambda", type=float, default=1.0)
-    sub.add_argument("--skip-check", action="store_true", help="report without asserting trends")
     sub.set_defaults(func=_cmd_exp_lime_sal)
 
     sub = subs.add_parser("exp-directed-fp", parents=[common], help="directed-probe equivalence study")

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
 Three families map onto the CLI exit codes: validation problems (exit 2),
-numeric failures (exit 3), and inconclusive empirical checks (exit 4).
+numeric failures (exit 3), and studies that cannot measure or whose trend failed (exit 4).
 """
 
 from contextlib import contextmanager
@@ -71,6 +71,7 @@ class RenderError(NumericError):
 
 
 class InconclusiveError(LpattrError):
-    """An empirical check could not decide either way (e.g. too few boundary samples)."""
+    """A study cannot measure (e.g. too few infeasible box samples); the CLI
+    also raises it after writing a report whose checked trend failed."""
 
     exit_code = 4

@@ -3,7 +3,7 @@ equivalence, and the five-feature feasibility study.
 
 Each driver samples its evaluation points inside the model's normalization
 box, derives all randomness from one seed, and returns a plain dict that
-serializes cleanly to JSON.
+serializes cleanly to JSON; a driver raises only when it cannot measure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ def experiment_lime_vs_saliency(
     seed: int = 0,
     ridge_lambda: float = 1.0,
     samples: int = 50,
-    check: bool = True,
 ) -> dict:
     """Local-surrogate slopes against the input gradient across shrinking
     perturbation radii.
@@ -39,13 +38,13 @@ def experiment_lime_vs_saliency(
     with near-zero gradient are excluded and counted.
 
     The two headline behaviors live in different regularization regimes, so
-    ``check`` gates its asserts by ``ridge_lambda``. At 0 (plain least
-    squares) the direction estimate is exact in the locally linear limit and
-    similarity must be monotone nondecreasing along the descending radius
-    list; with a positive ridge weight the penalty dominates the shrinking
+    ``trend`` and ``trend_holds`` report the one ``ridge_lambda`` selects. At
+    0 (plain least squares) the direction estimate is exact in the locally
+    linear limit and similarity should be monotone nondecreasing along the
+    descending radius list; a positive ridge weight dominates the shrinking
     design scatter, which forces magnitudes to strictly decrease but also
-    amplifies direction noise at tiny radii, so only the magnitude claim is
-    asserted there. Violations raise InconclusiveError.
+    amplifies direction noise at tiny radii, so only the magnitude trend is
+    judged there. Raises InconclusiveError only when almost every gradient is degenerate.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) < 2:
@@ -78,24 +77,22 @@ def experiment_lime_vs_saliency(
                 "points_used": int(len(magnitudes)),
             }
         )
-    report = {
+    if ridge_lambda == 0:
+        trend, cos = "mean_cosine nondecreasing", [r["mean_cosine"] for r in rows]
+        holds = not any(cos[i] > cos[i + 1] for i in range(len(cos) - 1))
+    else:
+        trend, mag = "mean_magnitude strictly decreasing", [r["mean_magnitude"] for r in rows]
+        holds = not any(mag[i] <= mag[i + 1] for i in range(len(mag) - 1))
+    return {
         "radii": list(radii),
         "ridge_lambda": ridge_lambda,
         "points": points,
         "excluded_degenerate": excluded,
         "mean_gradient_magnitude": float(np.mean(grad_norms[keep])),
         "rows": rows,
+        "trend": trend,
+        "trend_holds": holds,
     }
-    if check:
-        if ridge_lambda == 0:
-            cos = [r["mean_cosine"] for r in rows]
-            if any(cos[i] > cos[i + 1] for i in range(len(cos) - 1)):
-                raise InconclusiveError(f"cosine similarity not monotone along radii: {cos}")
-        else:
-            mag = [r["mean_magnitude"] for r in rows]
-            if any(mag[i] <= mag[i + 1] for i in range(len(mag) - 1)):
-                raise InconclusiveError(f"surrogate magnitude not strictly decreasing: {mag}")
-    return report
 
 
 def experiment_directed_fp(model, radius: float = 0.1, points: int = 100, seed: int = 0) -> dict:

@@ -184,7 +184,9 @@ def verify_grid_files(out_dir, stem: str) -> dict:
     manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh, malformed_file(manifest_path, "grid manifest"):
         manifest = json.load(fh)
-        files, channels = dict(manifest["files"]), list(manifest["channels"])
+        files = dict(manifest["files"])
+        # str.startswith raises TypeError on a channel name that is no string
+        feature_names = sorted((c for c in manifest["channels"] if str.startswith(c, "a")), key=lambda c: int(c[1:]))
     problems = []
     for name, want in files.items():
         path = os.path.join(out_dir, name)
@@ -195,8 +197,6 @@ def verify_grid_files(out_dir, stem: str) -> dict:
             got = sha256_hex(fh.read())
         if got != want:
             problems.append(f"hash mismatch for {name}")
-    feature_names = [c for c in channels if c.startswith("a")]
-    feature_names.sort(key=lambda s: int(s[1:]))
     loaded = [load_channel_csv(os.path.join(out_dir, f"{stem}_{c}.csv")) for c in feature_names]
     total = load_channel_csv(os.path.join(out_dir, f"{stem}_sum.csv"))
     recomputed = np.add.reduce(loaded, axis=0)

@@ -10,7 +10,7 @@ predicate over a box around the polytope:
 - distinguish_class: the value alone separates feasible from infeasible
   points; the emitted witness is a threshold plus orientation.
 - distinguish_boundary: the value alone separates boundary points
-  (min_slack = 0, in closed form on sampled segments) from clearly-off-boundary points.
+  (min_slack = 0, on segments from the vertex centroid) from clearly-off-boundary points.
 - boundary_extrema: at least one of the encoding's two extremes (max or
   min) is attained only near the constraint boundary.
 
@@ -96,24 +96,20 @@ class PropertyReport:
 
 
 def find_boundary_points(lp: LinearProgram, bbox, count: int, seed: int) -> np.ndarray:
-    """Points with min_slack = 0, one per segment from a sample with min_slack
-    > 1e-6 to one with min_slack < -1e-6. Along ``lo + t d`` slack i falls at
-    rate ``(A d)_i``, so min_slack is concave in t and crosses 0 once, at
-    ``t = min over (A d)_i > 0 of slack_i(lo) / (A d)_i``."""
-    bbox = np.asarray(bbox, dtype=float)
-    X = sample_box(bbox, max(count * 20, 2000), rng(seed, 90))
-    ms = min_slack_many(lp, X)
-    pos = X[ms > 1e-6]
-    neg = X[ms < -1e-6]
-    pairs = min(len(pos), len(neg), count)
-    if pairs < MIN_BOUNDARY_POINTS:
-        raise InconclusiveError(
-            f"only {pairs} boundary-straddling pairs found; the box barely intersects the boundary"
-        )
-    lo, d = pos[:pairs], neg[:pairs] - pos[:pairs]
+    """Points with min_slack = 0, one per segment from the vertex centroid
+    ``c`` to a box sample with min_slack < -1e-6. Along ``c + t d`` slack i
+    falls at rate ``(A d)_i``, so a segment that starts strictly inside
+    crosses 0 once, at ``t = min over (A d)_i > 0 of slack_i(c) / (A d)_i``."""
+    centre = enumerate_vertices(lp).vertices.mean(axis=0, keepdims=True)
+    if min_slack_many(lp, centre)[0] <= 1e-6:
+        raise InconclusiveError("the vertex centroid is not strictly inside the polytope")
+    X = sample_box(np.asarray(bbox, dtype=float), max(count * 20, 2000), rng(seed, 90))
+    d = X[min_slack_many(lp, X) < -1e-6][:count] - centre
+    if len(d) < MIN_BOUNDARY_POINTS:
+        raise InconclusiveError(f"only {len(d)} infeasible samples found; the box barely leaves the polytope")
     rate = d @ lp.A.T  # positive on some row of every segment, as its end is infeasible
-    t = np.divide(slack_values(lp, lo), rate, out=np.full_like(rate, np.inf), where=rate > 0).min(axis=1)
-    return lo + t[:, None] * d
+    t = np.divide(slack_values(lp, centre), rate, out=np.full_like(rate, np.inf), where=rate > 0).min(axis=1)
+    return centre + t[:, None] * d
 
 
 def _probe_points(lp: LinearProgram, sample_count: int, seed: int):
@@ -306,7 +302,7 @@ def build_monotone_harness(n: int = 2, seed: int = 0):
 @dataclass(frozen=True)
 class DirectednessReport:
     method: str
-    directed: bool
+    directed: bool | None  # None: neither criterion met
     stats: dict
 
 
@@ -326,8 +322,8 @@ def directedness_test(
 
     directed: at least 95% of attribution entries carry the sign of the true
     partial derivative. undirected: the pooled mean attribution is within 3
-    standard errors of 0 while the mean magnitude is not. Anything else
-    raises InconclusiveError rather than passing silently. Integrated
+    standard errors of 0 while the mean magnitude is not. Anything else is
+    undecided: ``directed`` is None, and the stats say why. Integrated
     gradients gets the verdict of its default zero baseline.
     """
     if sample_count < 10:
@@ -357,9 +353,9 @@ def directedness_test(
         "points": sample_count,
     }
     if agreement >= SIGN_AGREEMENT_LEVEL:
-        return DirectednessReport(method=method_tag, directed=True, stats=stats)
-    if abs(mean) <= 3 * stderr and mag_mean > 3 * mag_stderr:
-        return DirectednessReport(method=method_tag, directed=False, stats=stats)
-    raise InconclusiveError(
-        f"neither directed nor undirected criteria met for {method_tag}: {stats}"
-    )
+        directed = True
+    elif abs(mean) <= 3 * stderr and mag_mean > 3 * mag_stderr:
+        directed = False
+    else:
+        directed = None
+    return DirectednessReport(method=method_tag, directed=directed, stats=stats)

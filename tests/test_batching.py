@@ -128,7 +128,7 @@ def test_directed_fp_experiment_matches_one_point_calls(model):
 def test_lime_vs_saliency_experiment_matches_one_point_calls(model, ridge_lambda):
     seed, points, radii = 6, 20, (0.5, 0.1, 0.02)
     report = experiment_lime_vs_saliency(model, radii=radii, points=points, seed=seed,
-                                         ridge_lambda=ridge_lambda, check=False)
+                                         ridge_lambda=ridge_lambda)
     pts = sample_box(model.bbox, points, rng(seed, 0), shrink=0.1)
     grads = model.input_gradient_many(pts)
     for ri, (radius, row) in enumerate(zip(radii, report["rows"])):

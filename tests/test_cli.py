@@ -6,6 +6,7 @@ argument parsing, file output, and process exit codes are all exercised as a
 user would hit them.
 """
 
+import inspect
 import json
 import subprocess
 import sys
@@ -16,7 +17,9 @@ import pytest
 
 import lpattr.cli
 from lpattr.attribution import PerturbConfig, attribute
+from lpattr.experiments import experiment_5dim, experiment_directed_fp, experiment_lime_vs_saliency
 from lpattr.nn import Model, ModelConfig, load_model, save_model
+from lpattr.properties import encoding_property_table
 
 from conftest import lpattr_subprocess_env
 
@@ -199,6 +202,27 @@ class TestFlagsReachConfig:
         assert r.stdout.strip().split("\n")[1] == vec.csv_row()
 
 
+STUDY_FLAGS = [
+    (["exp-lime-sal", "--model", "m"], "radii", experiment_lime_vs_saliency, "radii"),
+    (["exp-lime-sal", "--model", "m"], "points", experiment_lime_vs_saliency, "points"),
+    (["exp-lime-sal", "--model", "m"], "samples", experiment_lime_vs_saliency, "samples"),
+    (["exp-lime-sal", "--model", "m"], "ridge_lambda", experiment_lime_vs_saliency, "ridge_lambda"),
+    (["exp-directed-fp", "--model", "m"], "radius", experiment_directed_fp, "radius"),
+    (["exp-directed-fp", "--model", "m"], "points", experiment_directed_fp, "points"),
+    (["props"], "samples", encoding_property_table, "sample_count"),
+    (["exp-5d"], "count", experiment_5dim, "count"),
+]
+
+
+@pytest.mark.parametrize("argv, dest, fn, param", STUDY_FLAGS,
+                         ids=[f"{argv[0]}-{dest}" for argv, dest, _, _ in STUDY_FLAGS])
+def test_study_flags_keep_the_library_defaults(argv, dest, fn, param):
+    got = getattr(lpattr.cli.build_parser().parse_args(argv), dest)
+    if dest == "radii":
+        got = tuple(float(v) for v in got.split(","))
+    assert got == inspect.signature(fn).parameters[param].default
+
+
 def save_flat_model(path, depth=2, **changes):
     """A zero network of ``depth`` layers on two features; ``changes``
     overwrite Model fields, so the header can disagree with the arrays."""
@@ -344,7 +368,10 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "x.csv is not a channel CSV" in r.stderr
 
-    @pytest.mark.parametrize("text", ["{}", '{"files": {}}', '{"files": '], ids=["empty", "no-channels", "truncated"])
+    @pytest.mark.parametrize("text", [
+        "{}", '{"files": {}}', '{"files": ', '{"files": {}, "channels": ["abs", "sum"]}',
+        '{"files": {}, "channels": "a1"}', '{"files": {}, "channels": [1]}',
+    ], ids=["empty", "no-channels", "truncated", "unnumbered-channel", "channels-string", "channel-number"])
     def test_malformed_grid_manifest_exits_2(self, tmp_path, text):
         (tmp_path / "d").mkdir()
         (tmp_path / "d" / "x_manifest.json").write_text(text)

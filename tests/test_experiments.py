@@ -4,9 +4,12 @@ A quadratic surface gives every driver a known gradient field, so the
 convergence and equivalence claims can be checked without training noise.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+import lpattr.cli
 import lpattr.experiments
 from lpattr.errors import ConfigurationError, InconclusiveError, ValidationError
 from lpattr.experiments import (
@@ -29,6 +32,14 @@ def quad_model():
     )
 
 
+def turning_slopes(model, X, method, perturb_cfg, seeds):
+    """Stands in for ``attribute_many``: the gradient turned by 1 - r radians
+    and scaled by 1 / r at radius r, so both trends break."""
+    g, r = model.input_gradient_many(X), perturb_cfg.radius
+    c, s = np.cos(1.0 - r), np.sin(1.0 - r)
+    return np.stack([c * g[:, 0] - s * g[:, 1], s * g[:, 0] + c * g[:, 1]], axis=1) / r
+
+
 def flat_model():
     return AnalyticModel(
         fn=lambda X: np.full(len(X), 7.0),
@@ -45,6 +56,7 @@ class TestLimeVsSaliency:
         cos = [r["mean_cosine"] for r in rep["rows"]]
         assert cos[0] <= cos[1] <= cos[2]
         assert cos[2] >= 0.999
+        assert rep["trend"] == "mean_cosine nondecreasing" and rep["trend_holds"] is True
 
     def test_least_squares_magnitude_approaches_gradient(self):
         rep = experiment_lime_vs_saliency(
@@ -59,6 +71,7 @@ class TestLimeVsSaliency:
         )
         mags = [r["mean_magnitude"] for r in rep["rows"]]
         assert mags[0] > mags[1] > mags[2]
+        assert rep["trend"] == "mean_magnitude strictly decreasing" and rep["trend_holds"] is True
 
     def test_report_is_seed_deterministic(self):
         a = experiment_lime_vs_saliency(quad_model(), points=20, seed=9, ridge_lambda=0.0)
@@ -82,32 +95,38 @@ class TestLimeVsSaliency:
     def test_unridged_magnitudes_do_not_shrink(self):
         # the shrinking-magnitude trend belongs to the ridge fit: without a
         # ridge the least-squares slopes estimate the gradient at every
-        # radius, so their magnitudes stay near-constant (the gates are
-        # tested by test_check_gates_raise_on_broken_trends)
-        rep = experiment_lime_vs_saliency(quad_model(), points=20, seed=2, ridge_lambda=0.0, check=False)
+        # radius, so their magnitudes stay near-constant (the verdicts are
+        # tested by test_broken_trends_are_reported_false)
+        rep = experiment_lime_vs_saliency(quad_model(), points=20, seed=2, ridge_lambda=0.0)
         mags = [r["mean_magnitude"] for r in rep["rows"]]
         assert not (mags[0] > mags[1] > mags[2])  # near-constant, not shrinking
 
-    @pytest.mark.parametrize("ridge_lambda, message", [
-        (0.0, "cosine similarity not monotone"),
-        (1.0, "surrogate magnitude not strictly decreasing"),
-    ])
-    def test_check_gates_raise_on_broken_trends(self, monkeypatch, ridge_lambda, message):
+    @pytest.mark.parametrize("ridge_lambda, trend", [
+        (0.0, "mean_cosine nondecreasing"),
+        (1.0, "mean_magnitude strictly decreasing"),
+    ], ids=["least-squares", "ridge"])
+    def test_broken_trends_are_reported_false(self, monkeypatch, ridge_lambda, trend):
         # slopes that turn away from the gradient and grow as the radius
-        # shrinks break both trends: the gate of each regime must raise, and
-        # check=False must report the same rows without raising
-        def turning_slopes(model, X, method, perturb_cfg, seeds):
-            g, r = model.input_gradient_many(X), perturb_cfg.radius
-            c, s = np.cos(1.0 - r), np.sin(1.0 - r)
-            return np.stack([c * g[:, 0] - s * g[:, 1], s * g[:, 0] + c * g[:, 1]], axis=1) / r
-
+        # shrinks break both trends: each regime reports its own as failed,
+        # next to rows that follow the turning slopes in closed form
         monkeypatch.setattr(lpattr.experiments, "attribute_many", turning_slopes)
-        kw = dict(radii=(0.5, 0.1, 0.02), points=20, seed=2, ridge_lambda=ridge_lambda)
-        with pytest.raises(InconclusiveError, match=message):
-            experiment_lime_vs_saliency(quad_model(), **kw)
-        rows = experiment_lime_vs_saliency(quad_model(), check=False, **kw)["rows"]
-        cos, mags = [r["mean_cosine"] for r in rows], [r["mean_magnitude"] for r in rows]
-        assert cos[0] > cos[1] > cos[2] and mags[0] < mags[1] < mags[2]
+        radii = (0.5, 0.1, 0.02)
+        rep = experiment_lime_vs_saliency(quad_model(), radii=radii, points=20, seed=2, ridge_lambda=ridge_lambda)
+        assert rep["trend"] == trend and rep["trend_holds"] is False
+        rows = rep["rows"]
+        np.testing.assert_allclose([r["mean_cosine"] for r in rows], np.cos(1.0 - np.array(radii)), rtol=1e-12)
+        np.testing.assert_allclose([r["mean_magnitude"] for r in rows],
+                                   rep["mean_gradient_magnitude"] / np.array(radii), rtol=1e-12)
+        assert [r["points_used"] for r in rows] == [20, 20, 20]
+
+    def test_cli_writes_the_report_then_exits_4_on_a_failed_trend(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(lpattr.experiments, "attribute_many", turning_slopes)
+        monkeypatch.setattr(lpattr.cli, "load_model", lambda path: quad_model())
+        code = lpattr.cli.main(["exp-lime-sal", "--model", "quad.model", "--points", "20", "--seed", "2",
+                                "--out", str(tmp_path)])
+        assert code == 4
+        report = json.loads((tmp_path / "exp-lime-vs-saliency.json").read_text())
+        assert report["trend"] == "mean_magnitude strictly decreasing" and report["trend_holds"] is False
 
 
 class TestDirectedFp:

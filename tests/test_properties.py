@@ -10,7 +10,7 @@ from lpattr import properties
 from lpattr.attribution import DIRECTED, IGConfig, attribute_many
 from lpattr.errors import ConfigurationError, InconclusiveError, ValidationError
 from lpattr.fixtures import lp_5d, lp_box, lp_tri, random_positive_lp
-from lpattr.lp import min_slack_many, vertex_bbox
+from lpattr.lp import LinearProgram, enumerate_vertices, min_slack_many, vertex_bbox
 from lpattr.nn import AnalyticModel
 from lpattr.properties import (
     EXPECTED_ENCODING_TRAITS,
@@ -144,7 +144,7 @@ def test_table_equals_single_encoding_reports(make_lp):
         assert report == check_encoding_properties(lp, kind, seed=BOX_SEED, excluded_vertices=excluded), kind
 
 
-def test_table_bisects_the_boundary_once(monkeypatch):
+def test_table_searches_the_boundary_once(monkeypatch):
     calls = []
     real = properties.find_boundary_points
 
@@ -157,6 +157,24 @@ def test_table_bisects_the_boundary_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_table_completes_on_a_thin_program(monkeypatch):
+    # 6 features, 8 constraints: the box holds almost no feasible samples,
+    # but every segment starts at the vertex centroid, which is inside
+    found = []
+    real = properties.find_boundary_points
+
+    def recorded(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    monkeypatch.setattr(properties, "find_boundary_points", recorded)
+    lp = random_positive_lp(6, 8, 3)
+    table = encoding_property_table(lp, seed=0)
+    assert set(table) == set(EXPECTED_ENCODING_TRAITS)
+    assert len(found[0]) >= properties.MIN_BOUNDARY_POINTS
+    assert np.abs(min_slack_many(lp, found[0])).max() <= 1e-14
+
+
 def test_boundary_points_on_boundary():
     lp = lp_tri()
     pts = find_boundary_points(lp, [[0, 6], [0, 6]], 200, seed=3)
@@ -164,14 +182,12 @@ def test_boundary_points_on_boundary():
     assert np.abs(min_slack_many(lp, pts)).max() <= 1e-14
 
 
-def straddling_pairs(lp, bbox, count, seed):
-    """The feasible and infeasible ends of the segments find_boundary_points
-    searches, drawn the same way."""
+def centroid_segments(lp, bbox, count, seed):
+    """The inner and outer ends of the segments find_boundary_points
+    searches: the vertex centroid, and box samples drawn the same way."""
     X = sample_box(bbox, max(count * 20, 2000), rng(seed, 90))
-    ms = min_slack_many(lp, X)
-    pos, neg = X[ms > 1e-6], X[ms < -1e-6]
-    pairs = min(len(pos), len(neg), count)
-    return pos[:pairs], neg[:pairs]
+    neg = X[min_slack_many(lp, X) < -1e-6][:count]
+    return np.tile(enumerate_vertices(lp).vertices.mean(axis=0), (len(neg), 1)), neg
 
 
 def bisected_boundary_points(lp, lo, hi):
@@ -192,7 +208,7 @@ def test_boundary_points_on_segments_match_bisection(make_lp):
     lp = make_lp()
     bbox = vertex_bbox(lp)
     pts = find_boundary_points(lp, bbox, 500, seed=3)
-    lo, hi = straddling_pairs(lp, bbox, 500, seed=3)
+    lo, hi = centroid_segments(lp, bbox, 500, seed=3)
     assert pts.shape == lo.shape and len(pts) >= 50
     # each point is lo + t (hi - lo) with t in [0, 1]
     d = hi - lo
@@ -203,9 +219,16 @@ def test_boundary_points_on_segments_match_bisection(make_lp):
 
 
 def test_boundary_search_inconclusive_off_boundary():
-    # a box strictly inside the feasible region never straddles the boundary
-    with pytest.raises(InconclusiveError):
+    # a box strictly inside the feasible region holds no infeasible sample
+    with pytest.raises(InconclusiveError, match="infeasible samples"):
         find_boundary_points(lp_box(), [[0, 0.5], [0, 0.5]], 200, seed=3)
+
+
+def test_boundary_search_inconclusive_without_an_inside():
+    # x2 <= x1, x >= 0 has the origin as its only vertex, on the boundary
+    lp = LinearProgram(c=np.ones(2), A=np.array([[-1.0, 1.0]]), b=np.zeros(1))
+    with pytest.raises(InconclusiveError, match="centroid"):
+        find_boundary_points(lp, [[0, 1], [0, 1]], 200, seed=3)
 
 
 @pytest.mark.parametrize("case", ["random", "ties", "outside", "single"])
@@ -277,13 +300,12 @@ def test_directedness_inconclusive_on_flat_model():
         fn=lambda X: np.zeros(len(X)), grad=lambda X: np.zeros_like(X), input_dim=2
     )
     flat.bbox = np.array([[0.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(InconclusiveError):
-        directedness_test("saliency", flat, seed=4)
+    assert directedness_test("saliency", flat, seed=4).directed is None
 
 
 def test_directedness_respects_sign_vector(monotone_model):
     # flipping the claimed true signs must break the agreement
     report = directedness_test("saliency", monotone_model, seed=5, true_partial_signs=[1.0, 1.0])
     assert report.directed
-    with pytest.raises(InconclusiveError):
-        directedness_test("saliency", monotone_model, seed=5, true_partial_signs=[-1.0, -1.0])
+    flipped = directedness_test("saliency", monotone_model, seed=5, true_partial_signs=[-1.0, -1.0])
+    assert flipped.directed is None and flipped.stats["sign_agreement"] <= 1 - SIGN_AGREEMENT_LEVEL
