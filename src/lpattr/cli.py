@@ -419,8 +419,8 @@ def main(argv=None) -> int:
     except LpattrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
-    except FileNotFoundError as exc:  # a missing input file is a validation error
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # an unusable path (missing, a directory, in the way) is a validation error
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return ValidationError.exit_code
     return 0
 

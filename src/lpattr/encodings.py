@@ -24,7 +24,6 @@ from .lp import (
     FEAS_TOL,
     VERTEX_DEDUP_TOL,
     LinearProgram,
-    VertexSet,
     _as_points,
     enumerate_vertices,
     min_slack_many,
@@ -91,8 +90,7 @@ class Encoding:
         return SHORT_LABELS[self.kind]
 
     def _retained_vertices(self) -> np.ndarray:
-        vs: VertexSet = enumerate_vertices(self.lp)
-        verts = vs.vertices
+        verts = enumerate_vertices(self.lp).vertices
         if self.excluded_vertices is not None:
             dists = np.linalg.norm(verts[:, None, :] - self.excluded_vertices[None, :, :], axis=2)
             keep = (dists > VERTEX_DEDUP_TOL).all(axis=1)

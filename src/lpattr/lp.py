@@ -5,12 +5,11 @@ held constant. Everything here is exact polytope arithmetic: feasibility,
 constraint slacks, vertex enumeration, Euclidean projection onto the
 feasible set, and optimizing ``c.x`` over the vertices.
 
-Two results depend on the program alone and are memoised on it: the vertex
-set (``enumerate_vertices``) and the factored active sets that the
-projection tries (``project_feasible_many``); pickles and copies carry both.
-The vertex set comes from a walk over the feasible bases, so its cost grows
-with the number of vertices, not with the C(m+n, n) choices of hyperplanes;
-the projection still tries active sets in ``combinations`` order.
+Two results depend on the program alone and are memoised on it, and
+pickles and copies carry both: the vertex set (``enumerate_vertices``) and
+the factored active sets the projection tries (``project_feasible_many``).
+Both come from one walk over the feasible bases, so their cost grows with
+the number of those bases, not with the C(m+n, n) choices of hyperplanes.
 
 Throughout, "constraints" means the rows of ``A x <= b``; the nonnegativity
 bounds ``x >= 0`` are tracked separately and only enter feasibility and the
@@ -59,7 +58,7 @@ class LinearProgram:
     A: np.ndarray
     b: np.ndarray
     _vertex_set: VertexSet | None = field(default=None, init=False, repr=False, compare=False)
-    # active-set rows -> (G, pinv(G), pinv(G) @ h), or None when G is rank-deficient
+    # active-set rows -> (G, pinv(G), pinv(G) @ h), one entry per face, in trial order
     _active_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -102,6 +101,7 @@ class VertexSet:
 
     vertices: np.ndarray  # (k, n), lexicographically sorted rows
     origin_included: bool
+    bases: tuple = field(repr=False)  # sorted row tuples of the feasible bases
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -181,7 +181,7 @@ def _feasible_bases(lp: LinearProgram) -> dict:
     axis planes) whose system is nonsingular and whose solution is finite
     and passes ``feasible_mask``. The walk starts from the axis basis when
     the origin is feasible, else from the first feasible basis in
-    ``combinations`` order (an empty program scans them all and raises).
+    ``combinations`` order (an empty program scans them all and has none).
     From each feasible basis it solves, in one batch, the neighbours that
     swap one of its rows for one outside it. Each basis is solved once;
     feasible ones join the walk.
@@ -203,9 +203,7 @@ def _feasible_bases(lp: LinearProgram) -> dict:
             break
         size = min(2 * size, SCAN_BATCH)
     else:
-        raise EmptyVertexSetError(
-            "no feasible vertex found; the feasible set is empty or the enumeration is incomplete"
-        )
+        return {}
     found = {start: x}
     seen, todo = {start}, [start]
     while todo:
@@ -242,12 +240,13 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
     and 1e-10-perturbed programs included. The solutions, in row-tuple
     order, are sorted lexicographically and near-duplicates dropped. An
     unbounded polyhedron yields its vertices only; an empty one raises.
-    Computed once per program and memoised on it, like the projection's
-    active sets; the array is read-only.
+    Computed once per program and memoised on it with the bases, which the
+    projection's active sets come from; the array is read-only.
     """
     if lp._vertex_set is not None:
         return lp._vertex_set
-    bases = _feasible_bases(lp)
+    if not (bases := _feasible_bases(lp)):
+        raise EmptyVertexSetError("no feasible vertex found; the feasible set is empty")
     # row-tuple order is the subset loop's order; lexsort is stable and ties
     # 0.0 with -0.0, so this order decides which of such rows dedup keeps
     cand = np.array([bases[rows] for rows in sorted(bases)])
@@ -264,46 +263,49 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
     vertices = cand[kept]
     vertices.setflags(write=False)
     origin_included = bool((np.linalg.norm(vertices, axis=1) <= VERTEX_DEDUP_TOL).any())
-    object.__setattr__(lp, "_vertex_set", VertexSet(vertices=vertices, origin_included=origin_included))
+    object.__setattr__(lp, "_vertex_set", VertexSet(vertices, origin_included, tuple(sorted(bases))))
     return lp._vertex_set
 
 
-def _active_set_factors(lp: LinearProgram):
-    """The factors of each full-rank active set in the projection's trial
-    order (by size k = 1..n, then lexicographically). A set is factored the
-    first time a projection reaches it and read from ``lp._active_sets``
-    after that, so a call that certifies every row early factors no more."""
-    G_all = np.vstack([lp.A, -np.eye(lp.n)])
-    h_all = np.concatenate([lp.b, np.zeros(lp.n)])
-    for k in range(1, lp.n + 1):
-        for rows in combinations(range(len(h_all)), k):
-            if rows not in lp._active_sets:
-                G = G_all[list(rows)]
-                # pinv(G) = G^T (G G^T)^-1, better conditioned than inverting G G^T
-                pinv = np.linalg.pinv(G) if np.linalg.matrix_rank(G) == k else None
-                lp._active_sets[rows] = None if pinv is None else (G, pinv, pinv @ h_all[list(rows)])
-            if lp._active_sets[rows] is not None:
-                yield lp._active_sets[rows]
+def _active_set_factors(lp: LinearProgram) -> dict:
+    """``lp._active_sets``, filled on the first projection with every face's
+    active set in trial order (size k = 1..n, then rows). Only a face's set
+    certifies, as the y it certifies is feasible. ``x >= 0`` makes the
+    polyhedron pointed, so every nonempty face holds a vertex, where its
+    independent active rows extend to a feasible basis: the candidates are
+    the k-subsets of the walk's bases, the subset loop's order without the
+    non-faces. An empty program has none."""
+    if not lp._active_sets:
+        try:
+            bases = enumerate_vertices(lp).bases
+        except EmptyVertexSetError:
+            return {}
+        G_all, h_all = np.vstack([lp.A, -np.eye(lp.n)]), np.concatenate([lp.b, np.zeros(lp.n)])
+        faces = {rows for basis in bases for k in range(1, lp.n + 1) for rows in combinations(basis, k)}
+        for rows in sorted(faces, key=lambda rows: (len(rows), rows)):
+            G = G_all[list(rows)]
+            pinv = np.linalg.pinv(G)  # G^T (G G^T)^-1, better conditioned than inverting G G^T
+            lp._active_sets[rows] = (G, pinv, pinv @ h_all[list(rows)])
+    return lp._active_sets
 
 
 def project_feasible_many(lp: LinearProgram, X) -> np.ndarray:
     """Euclidean projection of each row of ``X`` onto ``{A x <= b, x >= 0}``.
 
-    Exact and finite: each set S of k = 1..n halfspaces with independent
-    normals ``G_S`` is tried as the active set. The projection of x onto
+    Exact and finite: the active set S of each face, k = 1..n halfspaces with
+    independent normals ``G_S``, is tried in turn. The projection of x onto
     ``G_S y = h_S`` is ``y = x - G_S^T mu``, ``mu = (G_S G_S^T)^-1 (G_S x - h_S)``;
     when ``mu >= 0`` and ``y`` is feasible, these are the KKT conditions of
     the unique projection. Feasible rows come back unchanged; a row that no
-    active set certifies raises ProjectionFailureError. The factors of each
-    active set are memoised on the program next to its vertex set, so only
-    the first call to reach a set pays for its SVDs.
+    active set certifies raises ProjectionFailureError, as on an empty
+    program. The factors are memoised, so only the first projection pays.
     """
     X = _as_points(lp, X)
     out = X.copy()
     left = np.flatnonzero(~feasible_mask(lp, X))
     if left.size == 0:
         return out
-    for G, pinv, pinv_h in _active_set_factors(lp):
+    for G, pinv, pinv_h in _active_set_factors(lp).values():
         x = X[left]
         mu = (x - pinv_h) @ pinv
         y = x - mu @ G

@@ -243,14 +243,20 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "error:" in r.stderr
 
-    @pytest.mark.parametrize("args", [
-        ["grid", "--model", "nope.model", "--method", "saliency"],
-        ["train", "--data", "nope.csv"],
-    ])
-    def test_missing_input_file_exits_2(self, tmp_path, args):
+    @pytest.mark.parametrize("args, path", [
+        (["grid", "--model", "nope.model", "--method", "saliency"], "nope.model"),
+        (["train", "--data", "nope.csv"], "nope.csv"),
+        (["train", "--data", "adir"], "adir"),
+        (["props", "--lp", "adir"], "adir"),
+        (["gen-data", "--encoding", "feasibility", "--out", "afile"], "afile"),
+    ], ids=["missing-model", "missing-data", "directory-data", "directory-lp", "file-out"])
+    def test_unusable_path_exits_2(self, tmp_path, args, path):
+        # a missing file, a directory where a file is read, or a file where the output directory goes
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
         r = run_cli(args, tmp_path)
         assert r.returncode == 2
-        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1 and path in r.stderr
 
     @pytest.mark.parametrize("text", [
         '{"n": 2, "m": 1, "c": [1, 1], "A": [[1, 1]], "b": [',

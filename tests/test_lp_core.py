@@ -3,9 +3,10 @@
 The oracles here are written from the mathematical definitions, independent
 of the library internals: an exhaustive hyperplane-subset vertex enumerator
 with its own dedup strategy, a dense-grid argmin projection oracle, and the
-variational-inequality certificate of Euclidean projections. The subset loop
-that ``enumerate_vertices`` once ran is kept here too, as the byte-level
-oracle of its walk over feasible bases.
+variational-inequality certificate of Euclidean projections. The two subset
+loops that ``enumerate_vertices`` and ``project_feasible_many`` once ran are
+kept here too, as the byte-level oracles of the walk over feasible bases and
+of the projection's face candidates.
 """
 
 import copy
@@ -91,6 +92,35 @@ def subset_loop_vertices(lp):
     if not kept:
         raise EmptyVertexSetError("no feasible vertex")
     return np.array(kept)
+
+
+def subset_loop_projection(lp, X):
+    """The projection by trying every set of k = 1..n halfspaces that passes
+    a rank test, in ``combinations`` order, each factored anew: the loop
+    whose bytes the projection over the walk's faces must reproduce."""
+    X = np.asarray(X, dtype=float)
+    out = X.copy()
+    left = np.flatnonzero(~feasible_mask(lp, X))
+    G_all = np.vstack([lp.A, -np.eye(lp.n)])
+    h_all = np.concatenate([lp.b, np.zeros(lp.n)])
+    for k in range(1, lp.n + 1):
+        for rows in itertools.combinations(range(lp.m + lp.n), k):
+            if left.size == 0:
+                return out
+            G = G_all[list(rows)]
+            if np.linalg.matrix_rank(G) < k:
+                continue
+            pinv = np.linalg.pinv(G)
+            x = X[left]
+            mu = (x - pinv @ h_all[list(rows)]) @ pinv
+            y = x - mu @ G
+            ok = mu.min(axis=1) >= -FEAS_TOL
+            ok[ok] = feasible_mask(lp, y[ok])
+            out[left[ok]] = y[ok]
+            left = left[~ok]
+    if left.size:
+        raise ProjectionFailureError(f"no active set certifies {left.size} row(s)")
+    return out
 
 
 def oracle_grid_projection(lp, x, per_axis=401):
@@ -391,14 +421,16 @@ def assert_projection_certified(lp, X, P):
     inside = np.array([is_feasible(lp, x) for x in X])
     np.testing.assert_array_equal(P[inside], X[inside])
     assert (P @ lp.A.T - lp.b).max() <= 1e-12 and (-P).max() <= 1e-12
-    V = oracle_vertices(lp.c, lp.A, lp.b)
+    # past n = 8 the oracle's determinants take too long; the walk's vertex
+    # counts are pinned there by test_vertex_certificates_beyond_the_oracle
+    V = oracle_vertices(lp.c, lp.A, lp.b) if lp.n <= 8 else enumerate_vertices(lp).vertices
     for x, p in zip(X[~inside], P[~inside]):
         to_v = V - p
         scale = np.linalg.norm(x - p) * np.linalg.norm(to_v, axis=1).max()
         assert (to_v @ (x - p)).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(2, 11))
 def test_projection_certificates_on_random_programs(n):
     lp = random_positive_lp(n, n + 2, seed=3)
     bbox = vertex_bbox(lp, 2.0)
@@ -422,37 +454,81 @@ def test_projection_onto_empty_set_raises():
         project_feasible_many(lp, [[0.5, 0.5]])
 
 
+def subset_loop_probes(lp):
+    """Points around the vertex box, the vertices, the vertices moved 1e-9
+    outward from their centroid, and 1.5 times the vertices."""
+    V = enumerate_vertices(lp).vertices
+    lo, hi = V.min(axis=0), V.max(axis=0)
+    pad = (hi - lo) / 2 + 1
+    around = np.random.Generator(np.random.PCG64(lp.n)).uniform(lo - pad, hi + pad, size=(200, lp.n))
+    out = V - V.mean(axis=0)
+    out /= np.maximum(np.linalg.norm(out, axis=1, keepdims=True), 1e-300)
+    return np.vstack([around, V, V + 1e-9 * out, 1.5 * V])
+
+
+# the reference tries every subset, so 7x9 and 8x10 (26k and 107k subsets) stay out
+SUBSET_LOOP_PROGRAMS = {name: make for name, make in ORACLE_PROGRAMS.items() if sum(make().A.shape) <= 14}
+
+
+@pytest.mark.parametrize("make_lp", SUBSET_LOOP_PROGRAMS.values(), ids=SUBSET_LOOP_PROGRAMS.keys())
+def test_projection_equals_subset_loop(make_lp):
+    lp = make_lp()
+    try:
+        X = subset_loop_probes(lp)
+    except EmptyVertexSetError:
+        X = np.random.Generator(np.random.PCG64(0)).uniform(-1, 3, size=(20, lp.n))
+        for project in (subset_loop_projection, project_feasible_many):
+            with pytest.raises(ProjectionFailureError):
+                project(lp, X)
+        return
+    want = subset_loop_projection(lp, X)
+    assert project_feasible_many(lp, X).tobytes() == want.tobytes()
+
+
 def test_active_set_factors_are_memoised(monkeypatch):
-    calls = []
+    factored = []
     pinv = np.linalg.pinv
-    monkeypatch.setattr(np.linalg, "pinv", lambda G: calls.append(G.shape) or pinv(G))
+    monkeypatch.setattr(np.linalg, "pinv", lambda G: factored.append(G) or pinv(G))
     lp = random_positive_lp(4, 5, seed=3)
     bbox = vertex_bbox(lp, 2.0)
     gen = np.random.Generator(np.random.PCG64(12))
     X, Y = (gen.uniform(bbox[:, 0], bbox[:, 1], size=(300, 4)) for _ in range(2))
     cold = project_feasible_many(lp, X)
-    factored = len(calls)
-
-    def full_rank_sets(program):
-        return sum(f is not None for f in program._active_sets.values())
-
-    # at most one pinv per full-rank active set of 1 to 4 of the 9 halfspaces
-    assert 0 < factored == full_rank_sets(lp) <= sum(comb(9, k) for k in range(1, 5))
+    # one pinv per distinct face, none on a rank-deficient set, in trial order
+    faces = list(lp._active_sets)
+    subsets = {rows for basis in enumerate_vertices(lp).bases for k in range(1, 5)
+               for rows in itertools.combinations(basis, k)}
+    assert faces == sorted(subsets, key=lambda rows: (len(rows), rows))
+    assert len(factored) == len(faces) < sum(comb(9, k) for k in range(1, 5))
+    assert all(np.linalg.matrix_rank(G) == len(G) for G in factored)
+    # a second call, on the same or fresh points, factors nothing
     assert project_feasible_many(lp, X).tobytes() == cold.tobytes()
-    assert len(calls) == factored
-    # fresh points reuse the factored sets and factor only sets no call reached before
     warm = project_feasible_many(lp, Y)
-    assert len(calls) == full_rank_sets(lp)
+    assert len(factored) == len(faces)
     again = random_positive_lp(4, 5, seed=3)
     assert again._active_sets == {}
     assert project_feasible_many(again, Y).tobytes() == warm.tobytes()
     assert_projection_certified(lp, Y, warm)
     # a copy of a warm program carries the memo, factors nothing and projects to the same bytes
     for clone in (pickle.loads(pickle.dumps(lp)), copy.deepcopy(lp)):
-        assert clone._active_sets.keys() == lp._active_sets.keys() and clone.digest() == lp.digest()
-        before = len(calls)
+        assert list(clone._active_sets) == faces and clone.digest() == lp.digest()
+        before = len(factored)
         assert project_feasible_many(clone, Y).tobytes() == warm.tobytes()
-        assert len(calls) == before
+        assert len(factored) == before
+
+
+# 8x10 has 3,142 faces among the 106,761 sets of 1 to 8 of its 18 halfspaces
+
+
+def test_projection_factors_follow_the_faces(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda G: calls.append(G.shape) or pinv(G))
+    lp = random_positive_lp(8, 10, seed=3)
+    bbox = vertex_bbox(lp, 2.0)
+    X = np.random.Generator(np.random.PCG64(8)).uniform(bbox[:, 0], bbox[:, 1], size=(300, 8))
+    assert_projection_certified(lp, X, project_feasible_many(lp, X))
+    assert len(calls) <= 3142
 
 
 def test_vertex_enumeration_is_memoized_and_read_only():
