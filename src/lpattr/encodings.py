@@ -24,7 +24,8 @@ from .lp import (
     FEAS_TOL,
     VERTEX_DEDUP_TOL,
     LinearProgram,
-    _as_points,
+    as_point,
+    as_points,
     enumerate_vertices,
     min_slack_many,
     project_feasible_many,
@@ -71,12 +72,7 @@ class Encoding:
                     "gain-penalty needs c > 0, b > 0 and A >= 0 so the objective is a gain"
                 )
         if self.excluded_vertices is not None:
-            ex = np.asarray(self.excluded_vertices, dtype=float)
-            if ex.ndim == 1:
-                ex = ex[None, :]
-            if ex.ndim != 2 or ex.shape[1] != self.lp.n:
-                raise ConfigurationError(f"excluded vertices must have shape (k, {self.lp.n})")
-            self.excluded_vertices = ex
+            self.excluded_vertices = as_points(self.excluded_vertices, self.lp.n)
         if self.kind == "vertex-distance":
             self._retained = self._retained_vertices()
 
@@ -101,7 +97,7 @@ class Encoding:
 
     def values(self, X) -> np.ndarray:
         """Encoding values for a batch of points, shape (N,)."""
-        X = _as_points(self.lp, X)
+        X = as_points(X, self.lp.n)
         if self.kind == "feasibility":
             return self._inside(X).astype(float)
         if self.kind == "boundary-distance":
@@ -114,7 +110,7 @@ class Encoding:
         return self._gain_penalty_values(X)
 
     def value(self, x) -> float:
-        return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
+        return float(self.values(as_point(x, self.lp.n))[0])
 
     def _inside(self, X: np.ndarray) -> np.ndarray:
         # The case split conditions on the constraint rows A x <= b only;

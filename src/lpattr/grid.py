@@ -128,9 +128,9 @@ def channel_csv_text(channel: np.ndarray) -> str:
 
 def load_channel_csv(path) -> np.ndarray:
     """Read a channel written by channel_csv_text; a malformed CSV raises ValidationError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8, an empty table, a short row, a non-number, a bad cell
+    with open(path, "r", encoding="utf-8") as fh, malformed_file(path, "channel CSV"):
         lines = fh.read().strip().split("\n")
-    with malformed_file(path, "channel CSV"):  # an empty table, a short row, a non-number, a bad cell
         cells = [(int(r), int(c), float(v)) for r, c, v in (line.split(",") for line in lines[1:])]
         rows = max(r for r, _, _ in cells) + 1
         cols = max(c for _, c, _ in cells) + 1
@@ -180,7 +180,9 @@ def save_grid_result(result: GridResult, out_dir, stem: str) -> dict:
 
 def verify_grid_files(out_dir, stem: str) -> dict:
     """Recheck a saved grid: file hashes match the manifest and the sum
-    channel equals the feature channels added in index order, exactly."""
+    channel equals the feature channels added in index order, exactly. A
+    missing, unreadable or mis-sized channel is reported as a problem; only
+    a malformed manifest raises."""
     manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh, malformed_file(manifest_path, "grid manifest"):
         manifest = json.load(fh)
@@ -197,9 +199,14 @@ def verify_grid_files(out_dir, stem: str) -> dict:
             got = sha256_hex(fh.read())
         if got != want:
             problems.append(f"hash mismatch for {name}")
-    loaded = [load_channel_csv(os.path.join(out_dir, f"{stem}_{c}.csv")) for c in feature_names]
-    total = load_channel_csv(os.path.join(out_dir, f"{stem}_sum.csv"))
-    recomputed = np.add.reduce(loaded, axis=0)
-    if not np.array_equal(recomputed, total):
+    loaded = []
+    for c in feature_names + ["sum"]:
+        try:
+            loaded.append(load_channel_csv(os.path.join(out_dir, f"{stem}_{c}.csv")))
+        except (OSError, ValidationError) as exc:
+            problems.append(f"cannot read channel {c}: {exc}")
+    if len({a.shape for a in loaded}) > 1:
+        problems.append(f"channels differ in size: {sorted({a.shape for a in loaded})}")
+    elif len(loaded) > len(feature_names) and not np.array_equal(np.add.reduce(loaded[:-1], axis=0), loaded[-1]):
         problems.append("sum channel does not equal the sum of feature channels")
     return {"stem": stem, "ok": not problems, "problems": problems}

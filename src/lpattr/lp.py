@@ -11,6 +11,9 @@ the factored active sets the projection tries (``project_feasible_many``).
 Both come from one walk over the feasible bases, so their cost grows with
 the number of those bases, not with the C(m+n, n) choices of hyperplanes.
 
+``as_point`` and ``as_points`` are the package's one point check, which
+models and encodings share: a bad shape raises DimensionMismatchError.
+
 Throughout, "constraints" means the rows of ``A x <= b``; the nonnegativity
 bounds ``x >= 0`` are tracked separately and only enter feasibility and the
 vertex/projection geometry, never the slack values.
@@ -107,27 +110,27 @@ class VertexSet:
         return self.vertices.shape[0]
 
 
-def as_point(lp: LinearProgram, x) -> np.ndarray:
+def as_point(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (lp.n,):
-        raise DimensionMismatchError(f"point must have shape ({lp.n},), got {x.shape}")
+    if x.shape != (n,):
+        raise DimensionMismatchError(f"point must have shape ({n},), got {x.shape}")
     return x
 
 
-def _as_points(lp: LinearProgram, X) -> np.ndarray:
+def as_points(X, n: int) -> np.ndarray:
     """(N, n) view of one point or a batch of points."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != lp.n:
-        raise DimensionMismatchError(f"points must have shape (N, {lp.n}), got {X.shape}")
+    if X.ndim != 2 or X.shape[1] != n:
+        raise DimensionMismatchError(f"points must have shape (N, {n}), got {X.shape}")
     return X
 
 
 def slack_values(lp: LinearProgram, X) -> np.ndarray:
     """Row slacks ``b - A x`` for a batch of points, shape (N, m), computed
     in the product's own buffer."""
-    S = _as_points(lp, X) @ lp.A.T
+    S = as_points(X, lp.n) @ lp.A.T
     return np.subtract(lp.b, S, out=S)
 
 
@@ -143,35 +146,32 @@ def min_slack_many(lp: LinearProgram, X) -> np.ndarray:
 
 
 def feasible_mask(lp: LinearProgram, X) -> np.ndarray:
-    X = _as_points(lp, X)
+    X = as_points(X, lp.n)
     return (min_slack_many(lp, X) >= -FEAS_TOL) & (_row_min(X) >= -FEAS_TOL)
 
 
 def is_feasible(lp: LinearProgram, x) -> bool:
     """True iff ``A x <= b`` and ``x >= 0``, both within FEAS_TOL (boundary inclusive)."""
-    return bool(feasible_mask(lp, as_point(lp, x))[0])
+    return bool(feasible_mask(lp, as_point(x, lp.n))[0])
 
 
 def min_slack(lp: LinearProgram, x) -> float:
     """Minimum of ``b - A x`` over rows. Ignores the nonnegativity bounds."""
-    return float(min_slack_many(lp, as_point(lp, x))[0])
+    return float(min_slack_many(lp, as_point(x, lp.n))[0])
 
 
 def _solve_bases(normals: np.ndarray, offsets: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Solution of each system ``normals[rows] x = offsets[rows]``, one per
     row of the (k, n) index array ``bases``; NaN rows where it is singular.
-    One batched solve, or one solve per system when a singular one fails
-    the batch; LAPACK factors each system alike either way."""
-    try:
-        return np.linalg.solve(normals[bases], offsets[bases][..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full(bases.shape, np.nan)
-        for i, rows in enumerate(bases):
-            try:
-                out[i] = np.linalg.solve(normals[rows], offsets[rows])
-            except np.linalg.LinAlgError:
-                continue  # singular choice of hyperplanes, skip
-        return out
+    slogdet and solve LU-factor the same column-major copy with partial
+    pivoting, and solve raises only on an exactly zero pivot, so a sign of 0
+    marks the systems a solve of each one alone rejects. The rest go to one
+    batched solve, which factors each exactly as a solve of it alone does."""
+    M, r = normals[bases], offsets[bases]
+    ok = np.linalg.slogdet(M)[0] != 0
+    out = np.full(bases.shape, np.nan)
+    out[ok] = np.linalg.solve(M[ok], r[ok][..., None])[..., 0]
+    return out
 
 
 def _feasible_bases(lp: LinearProgram) -> dict:
@@ -300,7 +300,7 @@ def project_feasible_many(lp: LinearProgram, X) -> np.ndarray:
     active set certifies raises ProjectionFailureError, as on an empty
     program. The factors are memoised, so only the first projection pays.
     """
-    X = _as_points(lp, X)
+    X = as_points(X, lp.n)
     out = X.copy()
     left = np.flatnonzero(~feasible_mask(lp, X))
     if left.size == 0:
@@ -320,7 +320,7 @@ def project_feasible_many(lp: LinearProgram, X) -> np.ndarray:
 
 def project_feasible(lp: LinearProgram, x) -> np.ndarray:
     """Closest feasible point to ``x``; equal to ``x`` when it is already feasible."""
-    return project_feasible_many(lp, as_point(lp, x))[0]
+    return project_feasible_many(lp, as_point(x, lp.n))[0]
 
 
 def solve_on_vertices(lp: LinearProgram, direction: str = "minimize"):

@@ -4,6 +4,8 @@ Design points that the rest of the package leans on:
 
 - determinism: given the same dataset and config, training touches the same
   numbers in the same order, so saved models are byte-identical;
+- points: shapes are checked by lp.as_points, and by lp.as_point in the
+  one-point predict and input_gradient, which reject a batch;
 - exact gradients: input_gradient is reverse-mode differentiation of the
   same forward pass predict uses, including the input normalization and,
   for logistic models, the output sigmoid;
@@ -43,6 +45,7 @@ import numpy as np
 
 from .data import Dataset, check_bbox
 from .errors import ConfigurationError, TrainingDivergenceError, ValidationError, malformed_file
+from .lp import as_point, as_points
 from .seeding import rng
 from .serialize import canonical_json
 
@@ -61,7 +64,7 @@ class ModelConfig:
     loss: str = "squared-error"
     # 3e-2 is the smallest rate (of the tested decades) at which most seeds
     # leave the constant-predictor plateau of deep softplus stacks within 30
-    # epochs; 15 of 60 seeds on the box program still stay on it
+    # epochs; 3 of 30 box boundary-distance seeds still stay on it
     learning_rate: float = 3e-2
     momentum: float = 0.9
     epochs: int = 30
@@ -175,21 +178,13 @@ def _backward(weights, activation: str, layers, g: np.ndarray, scratch, deltas):
 
 
 class _PointQueries:
-    """Point checks and single-point wrappers shared by both model kinds."""
-
-    def _check_points(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise ValidationError(f"points must have shape (N, {self.input_dim}), got {X.shape}")
-        return X
+    """One-point wrappers shared by both model kinds; a batch raises."""
 
     def predict(self, x) -> float:
-        return float(self.predict_many(x)[0])
+        return float(self.predict_many(as_point(x, self.input_dim))[0])
 
     def input_gradient(self, x) -> np.ndarray:
-        return self.input_gradient_many(x)[0]
+        return self.input_gradient_many(as_point(x, self.input_dim))[0]
 
 
 @dataclass
@@ -212,7 +207,7 @@ class Model(_PointQueries):
         """(N, width) rows of ``fill(ws, rows)``, which writes the output rows
         of the normalized tile in ``ws.layers[0]`` into ``rows``. The
         zero-padded TILE_ROWS-row tiles are dealt round-robin to the lanes."""
-        X = self._check_points(X)
+        X = as_points(X, self.input_dim)
         out = np.empty((len(X), width))
         starts = range(0, len(X), TILE_ROWS)
         lanes = _lanes(len(starts))
@@ -279,10 +274,10 @@ class AnalyticModel(_PointQueries):
             self.bbox = np.asarray(self.bbox, dtype=float)
 
     def predict_many(self, X) -> np.ndarray:
-        return np.asarray(self.fn(self._check_points(X)), dtype=float)
+        return np.asarray(self.fn(as_points(X, self.input_dim)), dtype=float)
 
     def input_gradient_many(self, X) -> np.ndarray:
-        return np.asarray(self.grad(self._check_points(X)), dtype=float)
+        return np.asarray(self.grad(as_points(X, self.input_dim)), dtype=float)
 
 
 def _layer_sizes(input_dim: int, config: ModelConfig) -> list[int]:
@@ -374,10 +369,10 @@ def train_model(dataset: Dataset, config: ModelConfig) -> Model:
     return fit_arrays(Xt, yt, config, dataset.bbox, val_X=Xv, val_y=yv)
 
 
-def accuracy(model: Model, X, y, threshold: float = 0.5) -> float:
-    """Classification accuracy of thresholded predictions against {0,1} targets."""
-    pred = model.predict_many(X) >= threshold
-    return float(np.mean(pred == (np.asarray(y, dtype=float) >= threshold)))
+def accuracy(model: Model, X, y) -> float:
+    """Classification accuracy of predictions thresholded at 0.5 against {0,1} targets."""
+    pred = model.predict_many(X) >= 0.5
+    return float(np.mean(pred == (np.asarray(y, dtype=float) >= 0.5)))
 
 
 def save_model(model: Model, path) -> None:
@@ -409,17 +404,17 @@ def load_model(path) -> Model:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValidationError(f"{path} is not a model file")
         header = json.loads(fh.readline().decode("utf-8"))
-        data = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            buf = fh.read(8 * int(np.prod(shape)))
-            data[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         config = ModelConfig(**header["config"])
         sizes = _layer_sizes(header["input_dim"], config)
         shapes = {f"W{i}": (sizes[i + 1], sizes[i]) for i in range(config.depth)}
         shapes.update({f"b{i}": (sizes[i + 1],) for i in range(config.depth)}, bbox=(sizes[0], 2))
-        if {name: a.shape for name, a in data.items()} != shapes:
+        # shapes are checked before any read, so a damaged one asks for no bytes
+        if {spec["name"]: tuple(spec["shape"]) for spec in header["arrays"]} != shapes:
             raise ValueError(f"array shapes do not fit input_dim {sizes[0]} and the config's layers {sizes}")
+        data = {}
+        for spec in header["arrays"]:
+            buf = fh.read(8 * math.prod(spec["shape"]))
+            data[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(spec["shape"]).copy()
         if not all(np.isfinite(a).all() for a in data.values()):
             raise ValueError("an array holds a non-finite number")
         return Model(

@@ -1,11 +1,13 @@
 """Encoding value tests. Expected numbers are hand-derived from the
 definitions (box geometry makes every projection a coordinate clamp)."""
 
+import re
+
 import numpy as np
 import pytest
 
 from lpattr.encodings import ENCODING_KINDS, all_encodings, make_encoding
-from lpattr.errors import ConfigurationError, EmptyVertexSetError
+from lpattr.errors import ConfigurationError, DimensionMismatchError, EmptyVertexSetError
 from lpattr.fixtures import lp_box, lp_tri, random_positive_lp
 from lpattr.lp import LinearProgram, min_slack
 
@@ -16,6 +18,16 @@ def test_feasibility_values():
     assert enc.value([3, 1]) == 0.0
     assert enc.value([2, 3]) == 1.0  # inclusive boundary
     assert enc.binary
+
+
+@pytest.mark.parametrize("kind", ENCODING_KINDS)
+@pytest.mark.parametrize("rows", [1, 2])
+def test_one_point_value_rejects_batches(kind, rows):
+    # a batch, even of one row, is not a point, and the error names its shape
+    enc = make_encoding(lp_box(), kind)
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])[:rows]
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"got {X.shape}")):
+        enc.value(X)
 
 
 def test_boundary_distance_values():
@@ -98,6 +110,12 @@ def test_vertex_distance_zero_only_on_retained_vertices():
 def test_all_vertices_excluded_raises():
     ex = [[0, 0], [2, 0], [0, 3], [2, 3]]
     with pytest.raises(EmptyVertexSetError):
+        make_encoding(lp_box(), "vertex-distance", excluded_vertices=ex)
+
+
+@pytest.mark.parametrize("ex", [[1.0, 2.0, 3.0], [[[0.0, 0.0]]]], ids=["other-dimension", "three-d"])
+def test_excluded_vertices_of_another_shape_raise(ex):
+    with pytest.raises(DimensionMismatchError):
         make_encoding(lp_box(), "vertex-distance", excluded_vertices=ex)
 
 

@@ -7,6 +7,7 @@ checks pin the exact endpoint bytes and the negation symmetry.
 import numpy as np
 import pytest
 
+from lpattr import cli
 from lpattr.attribution import IGConfig, PerturbConfig
 from lpattr.errors import ConfigurationError, RenderError, ValidationError
 from lpattr.grid import (
@@ -188,6 +189,30 @@ class TestChannelFiles:
         (tmp_path / "g_a2.ppm").unlink()
         report = verify_grid_files(tmp_path, "g")
         assert not report["ok"] and any("missing" in p for p in report["problems"])
+
+
+def keep_first_row(path):
+    # a well-formed channel of another size: only the row-0 cells stay
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(line for line in lines if line.startswith(("row,", "0,"))))
+
+
+@pytest.mark.parametrize("damage, problem", [
+    (lambda d: keep_first_row(d / "g_a1.csv"), "channels differ in size"),
+    (lambda d: (d / "g_a2.csv").unlink(), "cannot read channel a2"),
+], ids=["other-size", "missing-file"])
+def test_verify_dir_reports_every_grid_past_a_broken_one(tmp_path, capsys, damage, problem):
+    spec = small_spec(resolution=(4, 3))
+    for stem in ("g", "h"):
+        save_grid_result(grid_attribution(quad_model(), "saliency", spec), tmp_path, stem)
+    damage(tmp_path)
+    report = verify_grid_files(tmp_path, "g")
+    assert not report["ok"] and any(problem in p for p in report["problems"])
+    capsys.readouterr()
+    assert cli.main(["verify", "--dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("grid g: FAILED") and "grid h: ok" in out
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
 
 
 class TestColormap:

@@ -29,6 +29,7 @@ from lpattr.lp import (
     FEAS_TOL,
     VERTEX_DEDUP_TOL,
     LinearProgram,
+    _solve_bases,
     enumerate_vertices,
     feasible_mask,
     is_feasible,
@@ -325,6 +326,30 @@ def test_vertices_equal_subset_loop(make_lp):
         return
     got = enumerate_vertices(lp).vertices
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+SOLVE_PROGRAMS = {name: make for name, make in ORACLE_PROGRAMS.items()
+                  if name in ("box", "tri") or name.startswith("integer")}
+
+
+@pytest.mark.parametrize("make_lp", SOLVE_PROGRAMS.values(), ids=SOLVE_PROGRAMS.keys())
+def test_bases_solved_like_one_solve_each(make_lp):
+    # the batched solve leaves NaN exactly where a solve of the system alone
+    # raises, and its other rows are that solve's bytes
+    lp = make_lp()
+    normals = np.vstack([lp.A, np.eye(lp.n)])
+    offsets = np.concatenate([lp.b, np.zeros(lp.n)])
+    bases = np.array(list(itertools.combinations(range(lp.m + lp.n), lp.n)))
+    want = np.full(bases.shape, np.nan)
+    for i, rows in enumerate(bases):
+        try:
+            want[i] = np.linalg.solve(normals[rows], offsets[rows])
+        except np.linalg.LinAlgError:
+            continue
+    got = _solve_bases(normals, offsets, bases)
+    singular = np.isnan(want).all(axis=1)
+    np.testing.assert_array_equal(np.isnan(got).all(axis=1), singular)
+    assert got[~singular].tobytes() == want[~singular].tobytes()
 
 
 @pytest.mark.parametrize("n, count", [(9, 102), (10, 377)])

@@ -13,7 +13,7 @@ import pytest
 
 from lpattr.data import generate_dataset
 from lpattr.encodings import make_encoding
-from lpattr.errors import ConfigurationError, TrainingDivergenceError, ValidationError
+from lpattr.errors import ConfigurationError, DimensionMismatchError, TrainingDivergenceError, ValidationError
 from lpattr.fixtures import lp_box
 import lpattr.nn
 from lpattr.nn import (
@@ -152,6 +152,18 @@ def test_dimension_mismatch():
             model.predict([1.0, 2.0, 3.0])
         with pytest.raises(ValidationError):
             model.input_gradient([1.0])
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_one_point_queries_reject_batches(rows):
+    # a batch, even of one row, is not a point: no answer for its first row
+    analytic = AnalyticModel(fn=lambda X: X[:, 0], grad=lambda X: np.ones_like(X), input_dim=2)
+    X = np.array([[0.3, 0.4], [0.6, 0.1]])[:rows]
+    for model in (small_trained(), analytic):
+        with pytest.raises(DimensionMismatchError):
+            model.predict(X)
+        with pytest.raises(DimensionMismatchError):
+            model.input_gradient(X)
 
 
 @pytest.mark.parametrize("activation", ["smooth-softplus", "tanh", "piecewise-linear"])
