@@ -28,7 +28,7 @@ for name, lp in (("box", lp_box()), ("tri", lp_tri())):
     # Every vertex is an intersection of n active hyperplanes (constraint
     # rows or coordinate axes) that is feasible.
     vs = enumerate_vertices(lp)
-    print("vertices (origin included:", vs.origin_included, ")")
+    print("vertices:")
     print(np.round(vs.vertices, 6))
 
     # The optimum of a bounded LP sits on a vertex.

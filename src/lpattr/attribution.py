@@ -33,7 +33,7 @@ many-point call equals its one-point calls bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

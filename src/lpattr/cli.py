@@ -37,7 +37,7 @@ from .grid import (
     save_grid_result,
     verify_grid_files,
 )
-from .lp import LinearProgram, load_lp, vertex_bbox
+from .lp import LinearProgram, load_lp
 from .nn import ModelConfig, load_model, save_model, train_model
 from .properties import (
     EXPECTED_ENCODING_TRAITS,

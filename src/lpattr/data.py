@@ -24,7 +24,8 @@ import numpy as np
 
 from .encodings import Encoding, make_encoding
 from .errors import CoverageError, ValidationError, malformed_file
-from .lp import LinearProgram, enumerate_vertices, feasible_mask, vertex_bbox
+# enumerate_vertices is not called here; lpbench's tracer test asserts this module holds it
+from .lp import LinearProgram, enumerate_vertices, feasible_mask, vertex_bbox  # noqa: F401
 from .seeding import rng
 from .serialize import canonical_json, format_float
 

@@ -1,9 +1,11 @@
 """Scalar functions that summarize a fixed program at a query point.
 
-Each encoding maps a point x in R^n to one float. The five kinds:
+Each encoding maps a point x in R^n to one float. "Feasible" means
+``A x <= b`` and ``x >= 0``, both within FEAS_TOL: ``lp.feasible_mask``,
+the package's one feasibility rule. The five kinds:
 
-- ``feasibility``: 1.0 inside the feasible set, 0.0 outside.
-- ``gain-penalty``: the objective c.x when feasible; outside, the objective
+- ``feasibility``: 1.0 on a feasible point, 0.0 elsewhere.
+- ``gain-penalty``: the objective c.x when feasible; otherwise the objective
   at the projection x_f shrunk by how far x drifted,
   ``c.x_f * (1 - min(1, |x - x_f| / |x_f|))``, and 0 when x_f is the origin.
 - ``boundary-distance``: the minimum constraint slack ``min(b - A x)``,
@@ -21,12 +23,12 @@ import numpy as np
 
 from .errors import ConfigurationError, EmptyVertexSetError
 from .lp import (
-    FEAS_TOL,
     VERTEX_DEDUP_TOL,
     LinearProgram,
     as_point,
     as_points,
     enumerate_vertices,
+    feasible_mask,
     min_slack_many,
     project_feasible_many,
 )
@@ -38,14 +40,6 @@ ENCODING_KINDS = (
     "abs-boundary-distance",
     "vertex-distance",
 )
-
-SHORT_LABELS = {
-    "feasibility": "F",
-    "gain-penalty": "G",
-    "boundary-distance": "B",
-    "abs-boundary-distance": "A",
-    "vertex-distance": "V",
-}
 
 
 @dataclass
@@ -76,15 +70,6 @@ class Encoding:
         if self.kind == "vertex-distance":
             self._retained = self._retained_vertices()
 
-    @property
-    def binary(self) -> bool:
-        """True when the encoding only takes values in {0, 1}."""
-        return self.kind == "feasibility"
-
-    @property
-    def label(self) -> str:
-        return SHORT_LABELS[self.kind]
-
     def _retained_vertices(self) -> np.ndarray:
         verts = enumerate_vertices(self.lp).vertices
         if self.excluded_vertices is not None:
@@ -99,7 +84,7 @@ class Encoding:
         """Encoding values for a batch of points, shape (N,)."""
         X = as_points(X, self.lp.n)
         if self.kind == "feasibility":
-            return self._inside(X).astype(float)
+            return feasible_mask(self.lp, X).astype(float)
         if self.kind == "boundary-distance":
             return min_slack_many(self.lp, X)
         if self.kind == "abs-boundary-distance":
@@ -112,16 +97,10 @@ class Encoding:
     def value(self, x) -> float:
         return float(self.values(as_point(x, self.lp.n))[0])
 
-    def _inside(self, X: np.ndarray) -> np.ndarray:
-        # The case split conditions on the constraint rows A x <= b only;
-        # sampling is restricted to x >= 0, where this agrees with full
-        # feasibility.
-        return min_slack_many(self.lp, X) >= -FEAS_TOL
-
     def _gain_penalty_values(self, X: np.ndarray) -> np.ndarray:
         lp = self.lp
         out = X @ lp.c
-        inside = self._inside(X)
+        inside = feasible_mask(lp, X)
         if (~inside).any():
             outside_pts = X[~inside]
             proj = project_feasible_many(lp, outside_pts)

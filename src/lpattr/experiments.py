@@ -14,7 +14,7 @@ from .attribution import DIRECTED, METHOD_TAGS, PerturbConfig, attribute, attrib
 from .data import generate_dataset
 from .encodings import make_encoding
 from .errors import ConfigurationError, InconclusiveError, ValidationError
-from .lp import slack_values
+from .lp import feasible_mask, min_slack_many, slack_values
 from .nn import ModelConfig, accuracy, train_model
 from .seeding import rng, sample_box, sub_seed
 
@@ -126,20 +126,20 @@ def experiment_directed_fp(model, radius: float = 0.1, points: int = 100, seed: 
 
 
 def _pick_instances(lp, X: np.ndarray) -> tuple[int, int]:
-    """One clearly feasible and one clearly infeasible row index.
+    """One clearly feasible and one clearly infeasible row index, classed
+    by ``feasible_mask``.
 
     Feasible: largest minimum slack. Infeasible: prefers points violating
     exactly one constraint (taking the deepest such violation), else the
     most violated point overall.
     """
-    slacks = slack_values(lp, X)
-    min_slack = slacks.min(axis=1)
-    feas = min_slack >= 0
+    feas = feasible_mask(lp, X)
     if not feas.any() or feas.all():
         raise ValidationError("need both feasible and infeasible points to pick instances")
+    min_slack = min_slack_many(lp, X)
     feasible_idx = int(np.flatnonzero(feas)[np.argmax(min_slack[feas])])
     infeas = ~feas
-    single = infeas & ((slacks < 0).sum(axis=1) == 1)
+    single = infeas & ((slack_values(lp, X) < 0).sum(axis=1) == 1)
     pool = single if single.any() else infeas
     pick = np.flatnonzero(pool)
     infeasible_idx = int(pick[np.argmin(min_slack[pool])])

@@ -13,6 +13,9 @@ the number of those bases, not with the C(m+n, n) choices of hyperplanes.
 
 ``as_point`` and ``as_points`` are the package's one point check, which
 models and encodings share: a bad shape raises DimensionMismatchError.
+``feasible_mask`` is its one feasibility rule, ``A x <= b`` and ``x >= 0``
+within FEAS_TOL, which sampling, the encodings, the vertex walk, the
+projection and the experiments share.
 
 Throughout, "constraints" means the rows of ``A x <= b``; the nonnegativity
 bounds ``x >= 0`` are tracked separately and only enter feasibility and the
@@ -103,7 +106,6 @@ class VertexSet:
     """Extreme points of the feasible polytope, one per row of ``vertices``."""
 
     vertices: np.ndarray  # (k, n), lexicographically sorted rows
-    origin_included: bool
     bases: tuple = field(repr=False)  # sorted row tuples of the feasible bases
 
     def __len__(self) -> int:
@@ -262,8 +264,7 @@ def enumerate_vertices(lp: LinearProgram) -> VertexSet:
             kept.append(i)
     vertices = cand[kept]
     vertices.setflags(write=False)
-    origin_included = bool((np.linalg.norm(vertices, axis=1) <= VERTEX_DEDUP_TOL).any())
-    object.__setattr__(lp, "_vertex_set", VertexSet(vertices, origin_included, tuple(sorted(bases))))
+    object.__setattr__(lp, "_vertex_set", VertexSet(vertices, tuple(sorted(bases))))
     return lp._vertex_set
 
 

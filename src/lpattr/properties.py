@@ -88,8 +88,6 @@ class PropertyReport:
     distinguish_boundary: bool
     boundary_extrema: bool
     stats: dict
-    sample_count: int
-    seed: int
 
     def as_row(self) -> dict:
         return {name: getattr(self, name) for name in PROPERTY_NAMES}
@@ -231,7 +229,7 @@ def _check_boundary_extrema(vals: np.ndarray, slacks: np.ndarray):
     return max_on_boundary or min_on_boundary, stats
 
 
-def _report(enc: Encoding, probe, sample_count: int, seed: int) -> PropertyReport:
+def _report(enc: Encoding, probe, sample_count: int) -> PropertyReport:
     """All four checks on one encoding over a probe set from _probe_points."""
     pool, slacks, boundary_count, pair_ends = probe
     vals = enc.values(pool)
@@ -248,8 +246,6 @@ def _report(enc: Encoding, probe, sample_count: int, seed: int) -> PropertyRepor
         kind=enc.kind,
         **{name: ok for name, (ok, _) in checks.items()},
         stats={**{name: stats for name, (_, stats) in checks.items()}, "boundary_points": boundary_count},
-        sample_count=sample_count,
-        seed=seed,
     )
 
 
@@ -262,7 +258,7 @@ def check_encoding_properties(
 ) -> PropertyReport:
     """Run all four property checkers against one encoding."""
     enc = make_encoding(lp, kind, excluded_vertices=excluded_vertices)
-    return _report(enc, _probe_points(lp, sample_count, seed), sample_count, seed)
+    return _report(enc, _probe_points(lp, sample_count, seed), sample_count)
 
 
 def classify_with_witness(report: PropertyReport, values: np.ndarray) -> np.ndarray:
@@ -281,7 +277,7 @@ def encoding_property_table(lp: LinearProgram, sample_count: int = 4000, seed: i
     all-positive program never sits there."""
     probe = _probe_points(lp, sample_count, seed)
     return {
-        kind: _report(enc, probe, sample_count, seed)
+        kind: _report(enc, probe, sample_count)
         for kind, enc in all_encodings(lp, excluded_vertices=np.zeros((1, lp.n))).items()
     }
 
@@ -301,7 +297,6 @@ def build_monotone_harness(n: int = 2, seed: int = 0):
 
 @dataclass(frozen=True)
 class DirectednessReport:
-    method: str
     directed: bool | None  # None: neither criterion met
     stats: dict
 
@@ -358,4 +353,4 @@ def directedness_test(
         directed = False
     else:
         directed = None
-    return DirectednessReport(method=method_tag, directed=directed, stats=stats)
+    return DirectednessReport(directed=directed, stats=stats)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lpattr.attribution import (
+    DIRECTED,
     AttributionVector,
     IGConfig,
     METHOD_TAGS,
@@ -255,6 +256,145 @@ def test_directed_fp_equals_unregularized_local_fit():
 def test_directed_fp_validation():
     with pytest.raises(ConfigurationError):
         directed_feature_permutation(square_1d(), [1.0], radius=0.0)
+
+
+# ------------------------------------------------- axioms as certificates
+# Sundararajan et al. 2017 (arXiv:1703.01365), checked on closed-form models
+# over fixed points, so no seed decides a verdict.
+
+ALL_TAGS = METHOD_TAGS + (DIRECTED,)
+AXIOM_CFG = PerturbConfig(radius=0.05, ridge_lambda=0.0)
+
+
+def axiom_points(count=200, n=3, seed=40):
+    return np.random.Generator(np.random.PCG64(seed)).uniform(0.1, 0.9, size=(count, n))
+
+
+def curved_ignoring_x3():
+    # f = sin(x1) x2^2 does not read x3
+    return AnalyticModel(
+        fn=lambda X: np.sin(X[:, 0]) * X[:, 1] ** 2,
+        grad=lambda X: np.column_stack(
+            [np.cos(X[:, 0]) * X[:, 1] ** 2, 2 * np.sin(X[:, 0]) * X[:, 1], np.zeros(len(X))]
+        ),
+        input_dim=3,
+    )
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_dummy_feature_gets_exactly_zero(tag):
+    X = axiom_points()
+    if tag == "lime":
+        # the fit spreads sampling noise over every slope on a curved model
+        # (about 0.01 here), so LIME's dummy property is checked on an affine one
+        A = attribute_many(linear_model([2.0, -1.0, 0.0]), X, tag, perturb_cfg=AXIOM_CFG, seeds=range(len(X)))
+        assert np.abs(A[:, 2]).max() <= 1e-12
+    else:
+        A = attribute_many(curved_ignoring_x3(), X, tag, perturb_cfg=AXIOM_CFG, seeds=range(len(X)))
+        assert (A[:, 2] == 0.0).all()
+
+
+@pytest.mark.parametrize("tag", ["saliency", "integrated-gradients", DIRECTED])
+def test_symmetric_features_get_identical_attributions(tag):
+    # f = x1 x2 + x3^2 is symmetric in x1 and x2; at x1 == x2 the
+    # deterministic methods must not tell them apart. FP and LIME draw one
+    # offset per feature, so their symmetry is the swap case below.
+    m = AnalyticModel(
+        fn=lambda X: X[:, 0] * X[:, 1] + X[:, 2] ** 2,
+        grad=lambda X: np.column_stack([X[:, 1], X[:, 0], 2 * X[:, 2]]),
+        input_dim=3,
+    )
+    X = axiom_points()
+    X[:, 1] = X[:, 0]
+    A = attribute_many(m, X, tag, perturb_cfg=AXIOM_CFG)
+    np.testing.assert_array_equal(A[:, 0], A[:, 1])
+
+
+def permuted(model, perm):
+    """The model read through a column permutation: column j of its input is
+    column perm[j] of the original's."""
+    inv = np.argsort(perm)
+    return AnalyticModel(
+        fn=lambda X: model.predict_many(X[:, inv]),
+        grad=lambda X: model.input_gradient_many(X[:, inv])[:, perm],
+        input_dim=model.input_dim,
+    )
+
+
+@pytest.mark.parametrize("perm", [[1, 2, 0], [1, 0, 2]], ids=["cycle", "swap"])
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_permuting_the_columns_permutes_the_attributions(tag, perm):
+    m = AnalyticModel(
+        fn=lambda X: np.sin(X[:, 0]) * X[:, 1] ** 2 + X[:, 0] * X[:, 2] ** 3,
+        grad=lambda X: np.column_stack([
+            np.cos(X[:, 0]) * X[:, 1] ** 2 + X[:, 2] ** 3,
+            2 * np.sin(X[:, 0]) * X[:, 1],
+            3 * X[:, 0] * X[:, 2] ** 2,
+        ]),
+        input_dim=3,
+    )
+    X = axiom_points()
+    draws = None
+    if tag in ("feature-permutation", "lime"):
+        count = 10 if tag == "feature-permutation" else 50
+        draws = np.random.Generator(np.random.PCG64(41)).uniform(-0.05, 0.05, size=(len(X), count, 3))
+    want = attribute_many(m, X, tag, perturb_cfg=AXIOM_CFG, draws=draws)[:, perm]
+    got = attribute_many(permuted(m, perm), X[:, perm], tag, perturb_cfg=AXIOM_CFG,
+                         draws=None if draws is None else draws[..., perm])
+    if tag in ("integrated-gradients", "lime"):
+        # IG's path sums and LIME's solve run in another order on permuted columns
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------- antithetic LIME meets the gradient
+# With ridge 0, ±delta pairs cancel every even term of the Taylor expansion,
+# so LIME's error against the gradient falls as r^2, against r^1 for i.i.d.
+# offsets. The unit draws are scaled by each radius, which makes the error on
+# a cubic a polynomial in r.
+
+LIME_RADII = (0.4, 0.1, 0.025, 0.00625)
+
+
+def lime_errors(model, draws):
+    """max |LIME - gradient| / max |gradient| over 100 points, per radius."""
+    X = np.random.Generator(np.random.PCG64(42)).uniform(0.2, 0.8, size=(100, 2))
+    g = model.input_gradient_many(X)
+    errs = []
+    for r in LIME_RADII:
+        W = attribute_many(model, X, "lime", perturb_cfg=PerturbConfig(radius=r, ridge_lambda=0.0), draws=r * draws)
+        errs.append(np.abs(W - g).max() / np.abs(g).max())
+    return np.array(errs)
+
+
+def unit_draws(pairs, antithetic, seed):
+    U = np.random.Generator(np.random.PCG64(seed)).uniform(-1.0, 1.0, size=(100, pairs if antithetic else 2 * pairs, 2))
+    return np.concatenate([U, -U], axis=1) if antithetic else U
+
+
+def test_antithetic_lime_is_exact_on_a_quadratic():
+    g0, H = np.array([0.3, -0.2]), np.array([[2.0, 0.7], [0.7, -1.0]])
+    quad = AnalyticModel(
+        fn=lambda X: X @ g0 + 0.5 * ((X @ H) * X).sum(axis=1),
+        grad=lambda X: g0 + X @ H,
+        input_dim=2,
+    )
+    assert lime_errors(quad, unit_draws(25, True, 43)).max() <= 1e-12
+
+
+def test_antithetic_lime_error_falls_as_r_squared_on_a_cubic():
+    cubic = AnalyticModel(
+        fn=lambda X: X[:, 0] ** 3 + X[:, 0] * X[:, 1] ** 2,
+        grad=lambda X: np.column_stack([3 * X[:, 0] ** 2 + X[:, 1] ** 2, 2 * X[:, 0] * X[:, 1]]),
+        input_dim=2,
+    )
+    order = {}
+    for antithetic in (True, False):
+        errs = lime_errors(cubic, unit_draws(25, antithetic, 44))
+        order[antithetic] = np.polyfit(np.log(LIME_RADII), np.log(errs), 1)[0]
+    assert 1.8 <= order[True] <= 2.2
+    assert 0.8 <= order[False] <= 1.2
 
 
 # ------------------------------------------------------------------- plumbing

@@ -9,7 +9,7 @@ import pytest
 from lpattr.encodings import ENCODING_KINDS, all_encodings, make_encoding
 from lpattr.errors import ConfigurationError, DimensionMismatchError, EmptyVertexSetError
 from lpattr.fixtures import lp_box, lp_tri, random_positive_lp
-from lpattr.lp import LinearProgram, min_slack
+from lpattr.lp import LinearProgram, feasible_mask, min_slack, min_slack_many, project_feasible
 
 
 def test_feasibility_values():
@@ -17,7 +17,6 @@ def test_feasibility_values():
     assert enc.value([1, 1]) == 1.0
     assert enc.value([3, 1]) == 0.0
     assert enc.value([2, 3]) == 1.0  # inclusive boundary
-    assert enc.binary
 
 
 @pytest.mark.parametrize("kind", ENCODING_KINDS)
@@ -133,6 +132,45 @@ def test_feasibility_iff_nonnegative_slack():
         assert (v == 1.0) == (min_slack(lp_box(), x) >= -1e-9)
 
 
+def test_negative_coordinate_is_infeasible():
+    # every row holds at (-1, 1), but x >= 0 does not; the projection clamps
+    # x1 to 0, so drift 1 equals |x_f| = 1 and the penalty takes all the gain
+    lp = lp_box()
+    x = np.array([-1.0, 1.0])
+    np.testing.assert_array_equal(project_feasible(lp, x), [0.0, 1.0])
+    assert make_encoding(lp, "feasibility").value(x) == 0.0
+    assert make_encoding(lp, "gain-penalty").value(x) == 0.0
+    # the boundary distances read the rows only, as documented
+    assert make_encoding(lp, "boundary-distance").value(x) == 2.0
+    assert make_encoding(lp, "abs-boundary-distance").value(x) == 2.0
+
+
+def test_bound_violation_past_tolerance_takes_the_outside_branch():
+    # (1, -1e-6) projects to (1, 0): gain 1, drift 1e-6, |x_f| = 1
+    lp = lp_box()
+    x = [1.0, -1e-6]
+    assert make_encoding(lp, "feasibility").value(x) == 0.0
+    assert make_encoding(lp, "gain-penalty").value(x) == 1.0 * (1.0 - 1e-6 / 1.0)
+
+
+def test_bound_violation_within_tolerance_stays_feasible():
+    lp = lp_box()
+    x = np.array([-1e-10, 1.0])
+    assert make_encoding(lp, "feasibility").value(x) == 1.0
+    assert make_encoding(lp, "gain-penalty").value(x) == x @ lp.c
+
+
+@pytest.mark.parametrize("lp", [lp_box(), lp_tri(), random_positive_lp(3, 5, seed=3)], ids=["box", "tri", "3x5"])
+def test_feasibility_is_the_feasible_mask(lp):
+    # points on both sides of every axis plane and of the rows
+    rng = np.random.Generator(np.random.PCG64(15))
+    X = rng.uniform(-1.0, 4.0, size=(2000, lp.n))
+    X[:50, 0] = -1e-10
+    mask = feasible_mask(lp, X)
+    assert mask.any() and not mask.all() and ((X < 0).any(axis=1) & (min_slack_many(lp, X) >= 0)).any()
+    np.testing.assert_array_equal(make_encoding(lp, "feasibility").values(X), mask.astype(float))
+
+
 def test_batch_matches_single_evaluation():
     lp = random_positive_lp(2, 3, seed=31)
     rng = np.random.Generator(np.random.PCG64(32))
@@ -149,4 +187,3 @@ def test_all_encodings_builder():
     assert set(encs) == set(ENCODING_KINDS)
     assert encs["vertex-distance"].excluded_vertices is not None
     assert encs["feasibility"].excluded_vertices is None
-    assert encs["boundary-distance"].label == "B"

@@ -232,7 +232,6 @@ def test_box_vertices():
     np.testing.assert_allclose(
         as_sorted_array(vs.vertices), [[0, 0], [0, 3], [2, 0], [2, 3]], atol=1e-12
     )
-    assert vs.origin_included
 
 
 def test_tri_vertices():

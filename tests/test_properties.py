@@ -111,7 +111,7 @@ def test_class_witness_feasible_below(shift, threshold):
     assert ok and w["orientation"] == "feasible-below" and w["threshold"] == threshold
     assert w["feasible_interval"] == (shift - 2.0, shift - 1.0)
     assert w["infeasible_interval"] == (shift + 1.0, shift + 3.0)
-    report = properties.PropertyReport("test", True, True, True, True, {"distinguish_class": w}, 5, 0)
+    report = properties.PropertyReport("test", True, True, True, True, {"distinguish_class": w})
     got = classify_with_witness(report, vals[[0, 1, 3, 4]])
     np.testing.assert_array_equal(got, [True, True, False, False])
 
