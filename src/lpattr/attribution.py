@@ -1,13 +1,18 @@
 """Four feature-attribution methods plus a directed variant.
 
-All methods consume any model exposing predict_many and input_gradient_many.
-Each has one many-point core: ``attribute_many`` maps a point matrix X (N, n)
-to (N, n) values, and ``attribute`` and the per-point functions are one-row
-wrappers over it that add the method tag.
+All methods consume any model exposing predict_many and input_gradient_many;
+integrated gradients also reads its smooth_gradient. Each has one many-point
+core: ``attribute_many`` maps a point matrix X (N, n) to (N, n) values, and
+``attribute`` and the per-point functions are one-row wrappers over it that
+add the method tag.
 
-- integrated_gradients: path integral of the gradient from a baseline,
-  trapezoid quadrature; sums to F(x) - F(baseline) up to quadrature error
-  (completeness). Its queries span the whole path, the least local method.
+- integrated_gradients: path integral of the gradient from a baseline; sums
+  to F(x) - F(baseline) up to quadrature error (completeness). The model's
+  ``smooth_gradient`` picks the rule: Gauss-Legendre nodes where the
+  gradient is analytic along the path, so the error falls exponentially
+  with the node count, and the trapezoid rule where it jumps (a
+  piecewise-linear net), where Gauss-Legendre gains nothing. Its queries
+  span the whole path, the least local method.
 - saliency: the raw input gradient, queried at x alone.
 - feature_permutation: for each feature, F(x) minus F(x with that feature
   displaced by a uniform random offset), averaged over repeats. Symmetric
@@ -43,15 +48,19 @@ from .seeding import rng
 from .serialize import digest_of, format_float
 
 METHOD_TAGS = ("integrated-gradients", "saliency", "feature-permutation", "lime")
+GL_NODES = 64  # default IG rows per path on a smooth model
+TRAPEZOID_INTERVALS = 256  # default on a kinked one: 257 rows per path
 
 
 @dataclass(frozen=True)
 class IGConfig:
     baseline: np.ndarray | None = None  # default: all zeros
-    steps: int = 256
+    # Gauss-Legendre nodes on a smooth model, trapezoid intervals on a kinked
+    # one; None takes the rule's default, GL_NODES or TRAPEZOID_INTERVALS
+    steps: int | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
+        if self.steps is not None and self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
         if self.baseline is not None:
             object.__setattr__(self, "baseline", np.asarray(self.baseline, dtype=float))
@@ -102,21 +111,34 @@ def _predict(model, P: np.ndarray) -> np.ndarray:
     return model.predict_many(P.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
 
 
+def _ig_rule(model, cfg: IGConfig) -> tuple[str, int]:
+    """The quadrature rule integrated gradients uses on ``model``, and its
+    node or interval count."""
+    if model.smooth_gradient:
+        return "gauss-legendre", cfg.steps or GL_NODES
+    return "trapezoid", cfg.steps or TRAPEZOID_INTERVALS
+
+
 def _integrated_gradients(model, X: np.ndarray, cfg: IGConfig) -> np.ndarray:
     """(x_i - x'_i) times the path integral of dF/dx_i from baseline x' to x,
-    trapezoid rule over cfg.steps intervals, TILE_ROWS points per model call."""
+    by the model's rule (_ig_rule), TILE_ROWS points per model call."""
     n = X.shape[1]
     baseline = np.zeros(n) if cfg.baseline is None else cfg.baseline
     if baseline.shape != (n,):
         raise ConfigurationError("baseline dimension mismatch")
-    alphas = np.linspace(0.0, 1.0, cfg.steps + 1)[:, None]
-    weights = np.full((cfg.steps + 1, 1), 1.0 / cfg.steps)
-    weights[0] = weights[-1] = 0.5 / cfg.steps
+    rule, steps = _ig_rule(model, cfg)
+    if rule == "gauss-legendre":
+        nodes, weights = np.polynomial.legendre.leggauss(steps)  # on [-1, 1]
+        alphas, weights = (nodes[:, None] + 1.0) / 2.0, weights[:, None] / 2.0
+    else:
+        alphas = np.linspace(0.0, 1.0, steps + 1)[:, None]
+        weights = np.full((steps + 1, 1), 1.0 / steps)
+        weights[0] = weights[-1] = 0.5 / steps
     diff = X - baseline
     out = np.empty_like(diff)
-    for s in range(0, len(X), TILE_ROWS):  # TILE_ROWS paths fill steps + 1 whole tiles
+    for s in range(0, len(X), TILE_ROWS):  # TILE_ROWS paths fill len(alphas) whole tiles
         d = diff[s : s + TILE_ROWS]
-        path = alphas * d[:, None, :]  # (points, steps + 1, n)
+        path = alphas * d[:, None, :]  # (points, rows per path, n)
         path += baseline
         grads = model.input_gradient_many(path.reshape(-1, n)).reshape(path.shape)
         grads *= weights
@@ -199,18 +221,21 @@ def attribute_many(model, X, method: str, ig_cfg: IGConfig | None = None,
     raise ConfigurationError(f"unknown method {method!r}; known: {METHOD_TAGS + (DIRECTED,)}")
 
 
-def method_settings(method: str, n: int, ig_cfg: IGConfig | None = None,
+def method_settings(method: str, model, ig_cfg: IGConfig | None = None,
                     perturb_cfg: PerturbConfig | None = None, count: int | None = None) -> dict | None:
-    """The settings that ``method``'s values on n features depend on, None for
-    saliency. ``count`` replaces the configured feature_permutation repeats
-    or lime samples."""
+    """The settings that ``method``'s values on ``model`` depend on, None for
+    saliency; for integrated gradients, the rule the model picks and its
+    resolved count. ``count`` replaces the configured feature_permutation
+    repeats or lime samples."""
     ig_cfg, cfg = ig_cfg or IGConfig(), perturb_cfg or PerturbConfig()
+    if method == "integrated-gradients":
+        rule, steps = _ig_rule(model, ig_cfg)
+        return {"baseline": np.zeros(model.input_dim) if ig_cfg.baseline is None else ig_cfg.baseline,
+                "rule": rule, "steps": steps}
     if count is None:
         count = cfg.repeats if method == "feature-permutation" else cfg.samples
     return {
         "saliency": None,
-        "integrated-gradients": {"baseline": np.zeros(n) if ig_cfg.baseline is None else ig_cfg.baseline,
-                                 "steps": ig_cfg.steps},
         DIRECTED: {"radius": cfg.radius},
         "feature-permutation": {"radius": cfg.radius, "repeats": count, "seed": cfg.seed},
         "lime": {"radius": cfg.radius, "samples": count, "lambda": cfg.ridge_lambda, "seed": cfg.seed},
@@ -224,7 +249,7 @@ def attribute(model, x, method: str, ig_cfg: IGConfig | None = None, perturb_cfg
     x = np.asarray(x, dtype=float)
     draws = None if draws is None else np.asarray(draws, dtype=float)[None]
     values = attribute_many(model, x[None], method, ig_cfg, perturb_cfg, draws=draws)[0]
-    fields = method_settings(method, x.shape[0], ig_cfg, perturb_cfg, None if draws is None else draws.shape[1])
+    fields = method_settings(method, model, ig_cfg, perturb_cfg, None if draws is None else draws.shape[1])
     tag = method if fields is None else f"{method}:{digest_of(fields)[:12]}"
     return AttributionVector(values=values, method=tag, point=x)
 

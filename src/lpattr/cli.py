@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .attribution import METHOD_TAGS, IGConfig, PerturbConfig, attribute
+from .attribution import GL_NODES, METHOD_TAGS, TRAPEZOID_INTERVALS, IGConfig, PerturbConfig, attribute
 from .data import generate_dataset, label_residual, load_dataset, save_dataset
 from .encodings import ENCODING_KINDS, make_encoding
 from .errors import ConfigurationError, InconclusiveError, LpattrError, ValidationError
@@ -192,7 +192,10 @@ def _cmd_grid(args) -> None:
     report = verify_grid_files(out, stem)
     if not report["ok"]:
         raise ValidationError(f"grid self-check failed: {report['problems']}")
-    print(f"wrote {out}/{stem}_* ({w}x{h} cells, {len(result.channels)} channels, sum identity ok)")
+    figures = f"{w}x{h} cells, {len(result.channels)} channels, sum identity ok"
+    if "completeness" in result.provenance:
+        figures += f", completeness residual {result.provenance['completeness']['max_residual']:.2e}"
+    print(f"wrote {out}/{stem}_* ({figures})")
 
 
 def _cmd_props(args) -> None:
@@ -309,6 +312,9 @@ def _cmd_verify(args) -> None:
 
 # -------------------------------------------------------------------- parser
 
+IG_STEPS_HELP = (f"path resolution: Gauss-Legendre nodes on a smooth model (default {GL_NODES}), "
+                 f"trapezoid intervals on a piecewise-linear one (default {TRAPEZOID_INTERVALS})")
+
 
 def _add_perturb_flags(sub) -> None:
     cfg = PerturbConfig()
@@ -357,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True, help="model file from train")
     sub.add_argument("--method", required=True, choices=METHOD_TAGS)
     sub.add_argument("--point", required=True, help="comma-separated coordinates")
-    sub.add_argument("--ig-steps", type=int, default=IGConfig().steps, help="path integral resolution")
+    sub.add_argument("--ig-steps", type=int, help=IG_STEPS_HELP)
     sub.add_argument("--baseline", help="path integral baseline (default zeros)")
     _add_perturb_flags(sub)
     sub.add_argument("--name", help="also write <name>.csv under --out")
@@ -372,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--y-range", help="lo,hi (default: model box)")
     sub.add_argument("--fixed", help="values for unswept features (default: box midpoints)")
     sub.add_argument("--resolution", default=f"{DEFAULT_RESOLUTION[0]},{DEFAULT_RESOLUTION[1]}", help="width,height")
-    sub.add_argument("--ig-steps", type=int, default=IGConfig().steps)
+    sub.add_argument("--ig-steps", type=int, help=IG_STEPS_HELP)
     _add_perturb_flags(sub)
     sub.add_argument("--name", help="output stem (default grid-<method>)")
     sub.set_defaults(func=_cmd_grid)

@@ -3,7 +3,10 @@
 A grid fixes all but two features, sweeps those two over a rectangle at a
 given resolution, and evaluates one attribution method at every cell
 center. The result carries one channel per feature, the exact elementwise
-sum of the feature channels, and the model's raw prediction channel.
+sum of the feature channels, and the model's raw prediction channel. An
+integrated-gradients grid also records F(baseline) and its worst
+completeness residual, which verify_grid_files recomputes from the saved
+sum and prediction channels.
 Randomized methods get one independent seed stream per cell, so results do
 not depend on evaluation order.
 """
@@ -104,7 +107,7 @@ def grid_attribution(
         channels[f"a{i + 1}"] = values[:, i].reshape(w, h)
     channels["sum"] = np.add.reduce([channels[f"a{i + 1}"] for i in range(spec.n)], axis=0)
     channels["prediction"] = model.predict_many(pts).reshape(w, h)
-    settings = method_settings(method, spec.n, ig_cfg, perturb_cfg) or {}
+    settings = method_settings(method, model, ig_cfg, perturb_cfg) or {}
     prov = {
         "method": method,
         "seed": seed,
@@ -112,7 +115,21 @@ def grid_attribution(
         # the cells' seeds come from the grid seed above, so perturb_cfg.seed is left out
         "config_digest": digest_of({k: v for k, v in settings.items() if k != "seed"}),
     }
+    if method == "integrated-gradients":
+        f_baseline = float(model.predict_many(settings["baseline"][None])[0])
+        prov["completeness"] = {
+            "f_baseline": f_baseline,
+            "max_residual": completeness_residual(channels["sum"], channels["prediction"], f_baseline),
+        }
     return GridResult(spec=spec, method=method, channels=channels, provenance=prov)
+
+
+def completeness_residual(sum_channel: np.ndarray, prediction: np.ndarray, f_baseline: float) -> float:
+    """Worst cell of |sum - dF| / max(1, |dF|), dF = prediction - F(baseline):
+    how far integrated gradients falls short of completeness."""
+    with np.errstate(invalid="ignore", over="ignore"):  # damaged inputs give NaN or inf, a mismatch
+        delta = prediction - f_baseline
+        return float((np.abs(sum_channel - delta) / np.maximum(1.0, np.abs(delta))).max())
 
 
 def channel_csv_text(channel: np.ndarray) -> str:
@@ -179,16 +196,23 @@ def save_grid_result(result: GridResult, out_dir, stem: str) -> dict:
 
 
 def verify_grid_files(out_dir, stem: str) -> dict:
-    """Recheck a saved grid: file hashes match the manifest and the sum
-    channel equals the feature channels added in index order, exactly. A
-    missing, unreadable or mis-sized channel is reported as a problem; only
-    a malformed manifest raises."""
+    """Recheck a saved grid: file hashes match the manifest, the sum channel
+    equals the feature channels added in index order, exactly, and an
+    integrated-gradients grid's recorded completeness residual equals the one
+    its sum and prediction channels give. A missing, unreadable or mis-sized
+    channel is reported as a problem; only a malformed manifest raises."""
     manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh, malformed_file(manifest_path, "grid manifest"):
         manifest = json.load(fh)
         files = dict(manifest["files"])
         # str.startswith raises TypeError on a channel name that is no string
         feature_names = sorted((c for c in manifest["channels"] if str.startswith(c, "a")), key=lambda c: int(c[1:]))
+        completeness = None
+        if manifest["method"] == "integrated-gradients":
+            recorded = manifest["provenance"]["completeness"]
+            completeness = recorded["f_baseline"], recorded["max_residual"]
+            if not all(type(v) in (int, float) for v in completeness):  # a bool or a numeric string is no number
+                raise TypeError(f"completeness record {recorded!r} holds a value that is no number")
     problems = []
     for name, want in files.items():
         path = os.path.join(out_dir, name)
@@ -199,14 +223,19 @@ def verify_grid_files(out_dir, stem: str) -> dict:
             got = sha256_hex(fh.read())
         if got != want:
             problems.append(f"hash mismatch for {name}")
-    loaded = []
-    for c in feature_names + ["sum"]:
+    names = feature_names + ["sum"] + (["prediction"] if completeness else [])
+    loaded = {}
+    for c in names:
         try:
-            loaded.append(load_channel_csv(os.path.join(out_dir, f"{stem}_{c}.csv")))
+            loaded[c] = load_channel_csv(os.path.join(out_dir, f"{stem}_{c}.csv"))
         except (OSError, ValidationError) as exc:
             problems.append(f"cannot read channel {c}: {exc}")
-    if len({a.shape for a in loaded}) > 1:
-        problems.append(f"channels differ in size: {sorted({a.shape for a in loaded})}")
-    elif len(loaded) > len(feature_names) and not np.array_equal(np.add.reduce(loaded[:-1], axis=0), loaded[-1]):
-        problems.append("sum channel does not equal the sum of feature channels")
+    shapes = {a.shape for a in loaded.values()}
+    if len(shapes) > 1:
+        problems.append(f"channels differ in size: {sorted(shapes)}")
+    elif len(loaded) == len(names):
+        if not np.array_equal(np.add.reduce([loaded[c] for c in feature_names], axis=0), loaded["sum"]):
+            problems.append("sum channel does not equal the sum of feature channels")
+        if completeness and completeness_residual(loaded["sum"], loaded["prediction"], completeness[0]) != completeness[1]:
+            problems.append("completeness residual differs from the manifest's")
     return {"stem": stem, "ok": not problems, "problems": problems}

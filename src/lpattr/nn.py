@@ -180,6 +180,10 @@ def _backward(weights, activation: str, layers, g: np.ndarray, scratch, deltas):
 class _PointQueries:
     """One-point wrappers shared by both model kinds; a batch raises."""
 
+    # whether the input gradient is smooth (analytic) along every segment;
+    # integrated gradients picks its quadrature rule from it
+    smooth_gradient = True
+
     def predict(self, x) -> float:
         return float(self.predict_many(as_point(x, self.input_dim))[0])
 
@@ -198,6 +202,10 @@ class Model(_PointQueries):
     input_dim: int
     bbox: np.ndarray  # (n, 2)
     training_summary: dict = field(default_factory=dict)
+
+    @property
+    def smooth_gradient(self) -> bool:
+        return self.config.activation != "piecewise-linear"
 
     def _normalize(self, X: np.ndarray) -> np.ndarray:
         lo, hi = self.bbox[:, 0], self.bbox[:, 1]

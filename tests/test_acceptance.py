@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lpattr.attribution import IGConfig, PerturbConfig, feature_permutation, integrated_gradients
+from lpattr.attribution import IGConfig, PerturbConfig, feature_permutation, integrated_gradients, method_settings
 from lpattr.encodings import ENCODING_KINDS
 from lpattr.experiments import experiment_directed_fp, experiment_lime_vs_saliency
 from lpattr.fixtures import lp_box, lp_tri, random_positive_lp
@@ -41,18 +41,20 @@ def box_points(model, count, seed):
 
 def test_ac01_path_integral_completeness(capsys, box_models):
     """Sum of path-integral attributions equals F(x) - F(baseline)."""
-    worst = 0.0
+    worst, rules = 0.0, set()
     for kind, model in box_models.items():
         pts = box_points(model, 100, seed=101)
         f0 = model.predict(np.zeros(model.input_dim))
+        settings = method_settings("integrated-gradients", model)
+        rules.add(f"{settings['rule']} {settings['steps']}")
         for x in pts:
-            vec = integrated_gradients(model, x, IGConfig(steps=256))
+            vec = integrated_gradients(model, x, IGConfig())
             delta = model.predict(x) - f0
             worst = max(worst, abs(vec.attribution_sum - delta) / max(1.0, abs(delta)))
     ok = worst <= 1e-3
     report(capsys, ok, "AC-1",
            f"completeness residual |sum a - dF| / max(1,|dF|) worst {worst:.2e} over "
-           f"5 models x 100 points (tol 1e-3, 256 steps)")
+           f"5 models x 100 points (tol 1e-3, default rule: {', '.join(sorted(rules))})")
     assert ok
 
 

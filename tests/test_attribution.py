@@ -19,9 +19,11 @@ from lpattr.attribution import (
     fit_local_slopes,
     integrated_gradients,
     lime,
+    method_settings,
     saliency,
 )
 from lpattr.errors import ConfigurationError, RankDeficiencyError
+from lpattr.grid import GridSpec, grid_attribution
 from lpattr.nn import AnalyticModel, Model, ModelConfig
 
 
@@ -58,6 +60,40 @@ def smooth_2d():
     )
 
 
+def monomial_1d(p):
+    return AnalyticModel(
+        fn=lambda X: X[:, 0] ** p,
+        grad=lambda X: (p * X[:, 0] ** (p - 1))[:, None],
+        input_dim=1,
+    )
+
+
+def hand_built_model(activation="smooth-softplus", loss="squared-error"):
+    """A 2-16-16-1 network on the unit box with fixed random weights; one
+    weight draw for every activation and loss."""
+    gen = np.random.Generator(np.random.PCG64(6))
+    sizes = [2, 16, 16, 1]
+    return Model([gen.normal(0.0, 0.5, size=(b, a)) for a, b in zip(sizes[:-1], sizes[1:])],
+                 [np.zeros(b) for b in sizes[1:]],
+                 ModelConfig(depth=3, hidden_width=16, activation=activation, loss=loss), 2,
+                 np.array([[0.0, 1.0], [0.0, 1.0]]))
+
+
+def trapezoid_ig(model, X, intervals=256):
+    """Integrated gradients from the zero baseline by the trapezoid rule over
+    ``intervals``, in the same operations as the package's kinked-model rule."""
+    baseline = np.zeros(X.shape[1])
+    alphas = np.linspace(0.0, 1.0, intervals + 1)[:, None]
+    weights = np.full((intervals + 1, 1), 1.0 / intervals)
+    weights[0] = weights[-1] = 0.5 / intervals
+    d = X - baseline
+    path = alphas * d[:, None, :]
+    path += baseline
+    grads = model.input_gradient_many(path.reshape(-1, X.shape[1])).reshape(path.shape)
+    grads *= weights
+    return d * grads.sum(axis=1)
+
+
 # ------------------------------------------------------- integrated gradients
 
 
@@ -67,7 +103,7 @@ def test_ig_zero_at_baseline():
 
 
 def test_ig_exact_on_quadratic():
-    # gradient along the path is linear in alpha; trapezoid rule is exact
+    # gradient along the path is linear in alpha; both quadrature rules are exact
     av = integrated_gradients(square_1d(), [2.0], IGConfig(steps=4))
     assert av.values[0] == pytest.approx(4.0, abs=1e-12)
     assert av.attribution_sum == pytest.approx(4.0, abs=1e-12)
@@ -89,21 +125,69 @@ def test_ig_custom_baseline():
 
 
 def test_ig_memory_does_not_grow_with_points():
-    # one query for all 2,000 paths holds the (N, steps + 1, n) path and its
-    # gradients at once; a few hundred paths at a time stay below one of them
-    gen = np.random.Generator(np.random.PCG64(6))
-    sizes = [2, 16, 16, 1]
-    model = Model([gen.normal(0.0, 0.5, size=(b, a)) for a, b in zip(sizes[:-1], sizes[1:])],
-                  [np.zeros(b) for b in sizes[1:]], ModelConfig(depth=3, hidden_width=16), 2,
-                  np.array([[0.0, 1.0], [0.0, 1.0]]))
-    X = gen.uniform(0.0, 1.0, size=(2000, 2))
-    tracemalloc.start()
-    try:
-        attribute_many(model, X, "integrated-gradients")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < X.size * (IGConfig().steps + 1) * X.itemsize
+    # one query for all 2,000 paths holds the (N, rows per path, n) path and
+    # its gradients at once; a few hundred paths at a time stay below one of
+    # them, under either rule's own rows per path
+    X = np.random.Generator(np.random.PCG64(7)).uniform(0.0, 1.0, size=(2000, 2))
+    for activation in ("smooth-softplus", "piecewise-linear"):
+        model = hand_built_model(activation)
+        settings = method_settings("integrated-gradients", model)
+        rows = settings["steps"] + (settings["rule"] == "trapezoid")
+        tracemalloc.start()
+        try:
+            attribute_many(model, X, "integrated-gradients")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.size * rows * X.itemsize, activation
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 5, 8])
+def test_gauss_legendre_exact_to_degree_2k_minus_1(nodes):
+    # from 0 to x, the path integrand of x**p is a degree p - 1 polynomial in
+    # alpha: k nodes integrate degree 2k - 1 exactly and miss degree 2k
+    x = 1.3
+    for p, exact in ((2 * nodes, True), (2 * nodes + 1, False)):
+        value = integrated_gradients(monomial_1d(p), [x], IGConfig(steps=nodes)).values[0]
+        assert (abs(value - x**p) <= 1e-12 * x**p) == exact, p
+
+
+@pytest.mark.parametrize("activation, loss", [("smooth-softplus", "squared-error"), ("tanh", "squared-error"),
+                                              ("smooth-softplus", "logistic")])
+def test_default_ig_no_less_complete_than_trapezoid_256(activation, loss):
+    model = hand_built_model(activation, loss)
+    X = np.random.Generator(np.random.PCG64(8)).uniform(0.0, 1.0, size=(300, 2))
+    delta = model.predict_many(X) - model.predict(np.zeros(2))
+    default = np.abs(attribute_many(model, X, "integrated-gradients").sum(axis=1) - delta)
+    reference = np.abs(trapezoid_ig(model, X).sum(axis=1) - delta)
+    assert (default <= reference).all(), (default.max(), reference.max())
+    assert default.max() < 1e-3 * reference.max()
+
+
+def test_kinked_model_keeps_trapezoid_256_bit_for_bit():
+    model = hand_built_model("piecewise-linear")
+    X = np.random.Generator(np.random.PCG64(9)).uniform(0.0, 1.0, size=(300, 2))  # two 256-point chunks
+    np.testing.assert_array_equal(attribute_many(model, X, "integrated-gradients"), trapezoid_ig(model, X))
+    spec = GridSpec(dim_x=0, dim_y=1, x_range=(0.0, 1.0), y_range=(0.0, 1.0), fixed_values=np.zeros(2),
+                    resolution=(20, 15))
+    grid = grid_attribution(model, "integrated-gradients", spec)
+    cells = np.column_stack([c.reshape(-1) for c in grid.feature_channels()])
+    np.testing.assert_array_equal(cells, trapezoid_ig(model, spec.points()))
+
+
+def test_ig_rule_follows_the_model_and_names_itself():
+    smooth, kinked = hand_built_model("smooth-softplus"), hand_built_model("piecewise-linear")
+    assert smooth.smooth_gradient and not kinked.smooth_gradient and square_1d().smooth_gradient
+    rules = [method_settings("integrated-gradients", m, cfg) for m in (smooth, kinked)
+             for cfg in (None, IGConfig(steps=32))]
+    assert [(r["rule"], r["steps"]) for r in rules] == [
+        ("gauss-legendre", 64), ("gauss-legendre", 32), ("trapezoid", 256), ("trapezoid", 32)]
+    spec = GridSpec(dim_x=0, dim_y=1, x_range=(0.0, 1.0), y_range=(0.0, 1.0), fixed_values=np.zeros(2),
+                    resolution=(4, 3))
+    tags = {attribute(m, [0.5, 0.5], "integrated-gradients").method for m in (smooth, kinked)}
+    digests = {grid_attribution(m, "integrated-gradients", spec).provenance["config_digest"]
+               for m in (smooth, kinked)}
+    assert len(tags) == len(digests) == 2
 
 
 def test_ig_validation():

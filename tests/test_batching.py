@@ -148,6 +148,7 @@ class CountingModel:
 
     def __init__(self, model):
         self.model, self.input_dim, self.bbox = model, model.input_dim, model.bbox
+        self.smooth_gradient = model.smooth_gradient
         self.rows = []
 
     def predict_many(self, X):

@@ -44,13 +44,15 @@ def mutate(data: bytes, gen: np.random.Generator) -> bytes:
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
     """Intact files of every kind: a program, a 20-row dataset and its sidecar,
-    a small model, and a 4x3 saliency grid of that model."""
+    a small model, and 4x3 saliency and integrated-gradients grids of that model."""
     d = tmp_path_factory.mktemp("originals")
     save_lp(lp_box(), d / "lp.json")
     steps = [
         ["gen-data", "--lp", "box", "--encoding", "boundary-distance", "--count", "20", "--name", "data"],
         ["train", "--data", str(d / "data.csv"), "--depth", "2", "--width", "4", "--epochs", "1", "--name", "m"],
         ["grid", "--model", str(d / "m.model"), "--method", "saliency", "--resolution", "4,3", "--name", "g"],
+        ["grid", "--model", str(d / "m.model"), "--method", "integrated-gradients", "--resolution", "4,3",
+         "--name", "gi"],
     ]
     for argv in steps:
         assert cli.main(argv + ["--out", str(d)]) == 0
@@ -66,6 +68,7 @@ KINDS = {
     "manifest": (["g_manifest.json"], ["verify", "--dir", "{d}"]),
     "channel": ([f"g_{c}.csv" for c in ("a1", "a2", "sum", "prediction")], ["verify", "--dir", "{d}"]),
     "matrix": (["g_a1.csv"], ["render", "--matrix", "{d}/g_a1.csv"]),
+    "ig-manifest": (["gi_manifest.json"], ["verify", "--dir", "{d}"]),
 }
 
 
@@ -86,3 +89,20 @@ def test_mutated_inputs_fail_cleanly(kind, originals, tmp_path, capsys):
         assert code in (0, 2, 3, 4), f"mutation {i} of {name}"
         assert len(errors) == (code != 0), f"mutation {i} of {name}: {errors}"
         (d / name).write_bytes(data)
+
+
+@pytest.mark.parametrize("field", ["f_baseline", "max_residual"])
+def test_malformed_completeness_record_exits_2(field, originals, tmp_path, capsys):
+    # an integrated-gradients manifest's completeness record: anything but the
+    # recorded number, in JSON or not, fails verify with one error line
+    d = tmp_path / "in"
+    shutil.copytree(originals, d)
+    text = (originals / "gi_manifest.json").read_text()
+    entry = re.search(f'"{field}":[^,}}]+', text).group()
+    wrong = repr(2.0 * float(entry.split(":")[1]) + 1.0)
+    for bad in ("NaN", "Infinity", "-Infinity", "1e999", "null", "true", '"0"', "[]", "{}", "-", "", wrong):
+        (d / "gi_manifest.json").write_text(text.replace(entry, f'"{field}":{bad}'))
+        capsys.readouterr()
+        code = cli.main(["verify", "--dir", str(d), "--out", str(tmp_path / "out")])
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert code == 2 and len(errors) == 1, bad

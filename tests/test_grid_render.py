@@ -4,6 +4,8 @@ Oracles: closed-form models make every channel hand-checkable; the colormap
 checks pin the exact endpoint bytes and the negation symmetry.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,25 @@ class TestChannelFiles:
         assert not report["ok"]
         assert any("hash mismatch" in p for p in report["problems"])
         assert any("sum channel" in p for p in report["problems"])
+
+    def test_ig_manifest_records_completeness_that_verify_recomputes(self, tmp_path):
+        model = quad_model()
+        gr = grid_attribution(model, "integrated-gradients", small_spec())
+        recorded = save_grid_result(gr, tmp_path, "g")["provenance"]["completeness"]
+        delta = gr.channels["prediction"] - model.predict(np.zeros(2))
+        assert recorded == {"f_baseline": model.predict(np.zeros(2)),
+                            "max_residual": np.max(np.abs(gr.channels["sum"] - delta) / np.maximum(1.0, np.abs(delta)))}
+        assert verify_grid_files(tmp_path, "g")["ok"]
+        assert "completeness" not in grid_attribution(model, "saliency", small_spec()).provenance
+        path = tmp_path / "g_manifest.json"
+        intact = json.loads(path.read_text())
+        for field, value in (("f_baseline", recorded["f_baseline"] + 1.0), ("max_residual", 1e-3)):
+            manifest = json.loads(path.read_text())
+            manifest["provenance"]["completeness"][field] = value
+            path.write_text(canonical_json(manifest) + "\n")
+            report = verify_grid_files(tmp_path, "g")
+            assert report["problems"] == ["completeness residual differs from the manifest's"], field
+            path.write_text(canonical_json(intact) + "\n")
 
     def test_verify_catches_missing_file(self, tmp_path):
         gr = grid_attribution(quad_model(), "saliency", small_spec())
