@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--points", type=int, default=100)
     sub.set_defaults(func=_cmd_exp_directed_fp)
 
-    sub = subs.add_parser("exp-5d", parents=[common], help="five-feature feasibility study")
+    sub = subs.add_parser("exp-5d", parents=[common], help="feasibility study on any program (default 5d)")
     sub.add_argument("--count", type=int, default=100_000, help="training sample count")
     sub.set_defaults(func=_cmd_exp_5d)
 

@@ -1,5 +1,6 @@
 """Experiment drivers: surrogate-slope convergence, the directed-probe
-equivalence, and the five-feature feasibility study.
+equivalence, and a feasibility study on any program (five-feature by
+default).
 
 Each driver samples its evaluation points inside the model's normalization
 box, derives all randomness from one seed, and returns a plain dict that
@@ -10,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attribution import DIRECTED, METHOD_TAGS, PerturbConfig, attribute, attribute_many
+from .attribution import DIRECTED, METHOD_TAGS, PerturbConfig, attribute_many
 from .data import generate_dataset
 from .encodings import make_encoding
 from .errors import ConfigurationError, InconclusiveError, ValidationError
 from .lp import feasible_mask, min_slack_many, slack_values
-from .nn import ModelConfig, accuracy, train_model
+from .nn import ModelConfig, train_model
 from .seeding import rng, sample_box, sub_seed
 
 SMALL_ATTRIBUTION = 0.01  # below this magnitude the sign is not trusted
@@ -146,49 +147,43 @@ def _pick_instances(lp, X: np.ndarray) -> tuple[int, int]:
     return feasible_idx, infeasible_idx
 
 
-def _instance_entry(lp, model, x: np.ndarray, label: str, seed: int) -> dict:
-    slacks = slack_values(lp, x[None, :])[0]
-    methods = {}
-    for mi, tag in enumerate(METHOD_TAGS):
-        cfg = PerturbConfig(seed=sub_seed(seed, 7, mi))
-        vec = attribute(model, x, tag, perturb_cfg=cfg)
-        methods[tag] = {
-            "values": [float(v) for v in vec.values],
-            "sum": vec.attribution_sum,
-            "small": [bool(abs(v) < SMALL_ATTRIBUTION) for v in vec.values],
-        }
-    return {
-        "label": label,
-        "point": [float(v) for v in x],
-        "prediction": float(model.predict(x)),
-        "slacks": [float(s) for s in slacks],
-        "violated": [bool(s < 0) for s in slacks],
-        "attributions": methods,
-    }
-
-
 def experiment_5dim(lp, seed: int = 0, count: int = 100_000) -> dict:
-    """Feasibility study on a five-feature, three-constraint program: train,
-    report held-out accuracy, then attribute one feasible and one infeasible
-    instance under all four methods, annotating constraint slacks and
-    flagging attribution entries too small to trust."""
-    if lp.n != 5 or lp.m != 3:
-        raise ValidationError(f"expected a 5-feature, 3-constraint program, got n={lp.n}, m={lp.m}")
-    enc = make_encoding(lp, "feasibility")
-    ds = generate_dataset(lp, enc, count, seed=seed)
+    """Feasibility study on any program, the five-feature one by default:
+    train, report the held-out accuracy from training, then attribute one
+    feasible and one infeasible validation instance under all four methods,
+    annotating constraint slacks and flagging attribution entries too small
+    to trust."""
+    ds = generate_dataset(lp, make_encoding(lp, "feasibility"), count, seed=seed)
+    val_X, _ = ds.val_arrays()
+    X = val_X[list(_pick_instances(lp, val_X))]
     model = train_model(ds, ModelConfig(seed=seed))
-    val_X, val_y = ds.val_arrays()
-    acc = accuracy(model, val_X, val_y)
-    feas_i, infeas_i = _pick_instances(lp, val_X)
+    attributions = {tag: attribute_many(model, X, tag, perturb_cfg=PerturbConfig(seed=sub_seed(seed, 7, mi)))
+                    for mi, tag in enumerate(METHOD_TAGS)}
+    predictions = model.predict_many(X)
+    instances = []
+    for i, label in enumerate(("feasible", "infeasible")):
+        slacks = slack_values(lp, X[i][None])[0]  # row by row: a two-row product rounds differently
+        instances.append({
+            "label": label,
+            "point": [float(v) for v in X[i]],
+            "prediction": float(predictions[i]),
+            "slacks": [float(s) for s in slacks],
+            "violated": [bool(s < 0) for s in slacks],
+            "attributions": {
+                tag: {
+                    "values": [float(v) for v in W[i]],
+                    "sum": float(W[i].sum()),
+                    "small": [bool(abs(v) < SMALL_ATTRIBUTION) for v in W[i]],
+                }
+                for tag, W in attributions.items()
+            },
+        })
     return {
         "lp_digest": lp.digest(),
         "encoding": "feasibility",
         "sample_count": count,
         "seed": seed,
-        "accuracy": acc,
+        "accuracy": model.training_summary["val_accuracy"],
         "small_threshold": SMALL_ATTRIBUTION,
-        "instances": [
-            _instance_entry(lp, model, val_X[feas_i], "feasible", seed),
-            _instance_entry(lp, model, val_X[infeas_i], "infeasible", seed),
-        ],
+        "instances": instances,
     }

@@ -377,12 +377,6 @@ def train_model(dataset: Dataset, config: ModelConfig) -> Model:
     return fit_arrays(Xt, yt, config, dataset.bbox, val_X=Xv, val_y=yv)
 
 
-def accuracy(model: Model, X, y) -> float:
-    """Classification accuracy of predictions thresholded at 0.5 against {0,1} targets."""
-    pred = model.predict_many(X) >= 0.5
-    return float(np.mean(pred == (np.asarray(y, dtype=float) >= 0.5)))
-
-
 def save_model(model: Model, path) -> None:
     """Byte-stable container: magic, one JSON header line, then raw
     little-endian float64 array data in header order."""

@@ -136,6 +136,18 @@ class TestPipeline:
         report = json.loads((workdir / "files" / "exp-5dim.json").read_text())
         assert [i["label"] for i in report["instances"]] == ["feasible", "infeasible"]
 
+    def test_exp_5d_runs_on_any_program(self, workdir):
+        r = run_cli(["exp-5d", "--lp", "tri", "--count", "6000", "--out", "tri"], workdir)
+        assert r.returncode == 0, r.stderr
+        report = json.loads((workdir / "tri" / "exp-5dim.json").read_text())
+        assert [len(i["point"]) for i in report["instances"]] == [2, 2]
+
+    def test_exp_5d_empty_split_exits_2_before_scoring_it(self, workdir):
+        # below 10 rows the validation split is empty; no mean of it is taken
+        r = run_cli(["exp-5d", "--count", "4", "--out", "few"], workdir)
+        assert r.returncode == 2
+        assert r.stderr == "error: need both feasible and infeasible points to pick instances\n"
+
     def test_version_flag(self, workdir):
         r = run_cli(["--version"], workdir)
         assert r.returncode == 0 and r.stdout.startswith("lpattr ")

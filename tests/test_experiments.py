@@ -5,21 +5,31 @@ convergence and equivalence claims can be checked without training noise.
 """
 
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import lpattr.attribution
 import lpattr.cli
 import lpattr.experiments
+from lpattr.attribution import METHOD_TAGS, PerturbConfig, attribute
+from lpattr.data import generate_dataset
+from lpattr.encodings import make_encoding
 from lpattr.errors import ConfigurationError, InconclusiveError, ValidationError
 from lpattr.experiments import (
+    SMALL_ATTRIBUTION,
     _pick_instances,
     experiment_5dim,
     experiment_directed_fp,
     experiment_lime_vs_saliency,
 )
-from lpattr.fixtures import lp_5d, lp_box
-from lpattr.nn import AnalyticModel
+from lpattr.fixtures import lp_5d, lp_box, lp_tri, random_positive_lp
+from lpattr.lp import slack_values
+from lpattr.nn import AnalyticModel, ModelConfig, train_model
+from lpattr.properties import directedness_test
+from lpattr.seeding import sub_seed
+from lpattr.serialize import canonical_json
 
 
 def quad_model():
@@ -171,14 +181,87 @@ class TestPickInstances:
             _pick_instances(lp, np.array([[1.0, 1.0], [0.5, 0.5]]))
 
 
+# name -> (program, seed, row count); each holds both classes in its box
+STUDY_PROGRAMS = {
+    "5d": (lp_5d, 3, 6000),
+    "box": (lp_box, 0, 2000),
+    "tri": (lp_tri, 0, 6000),
+    "random-3x4": (lambda: random_positive_lp(3, 4, 3), 0, 2000),
+}
+
+
+@lru_cache(maxsize=None)
+def study_report(name):
+    make_lp, seed, count = STUDY_PROGRAMS[name]
+    return experiment_5dim(make_lp(), seed=seed, count=count)
+
+
+def one_point_study(lp, seed, count):
+    """The feasibility study one point and one method at a time: a one-point
+    ``attribute`` per tag on ``sub_seed(seed, 7, mi)``, ``model.predict`` per
+    instance, and the accuracy by thresholding ``predict_many`` on the
+    validation split; the recipe whose bytes the batched study must keep."""
+    ds = generate_dataset(lp, make_encoding(lp, "feasibility"), count, seed=seed)
+    model = train_model(ds, ModelConfig(seed=seed))
+    val_X, val_y = ds.val_arrays()
+    instances = []
+    for label, i in zip(("feasible", "infeasible"), _pick_instances(lp, val_X)):
+        x = val_X[i]
+        slacks = slack_values(lp, x[None, :])[0]
+        methods = {}
+        for mi, tag in enumerate(METHOD_TAGS):
+            vec = attribute(model, x, tag, perturb_cfg=PerturbConfig(seed=sub_seed(seed, 7, mi)))
+            methods[tag] = {
+                "values": [float(v) for v in vec.values],
+                "sum": vec.attribution_sum,
+                "small": [bool(abs(v) < SMALL_ATTRIBUTION) for v in vec.values],
+            }
+        instances.append({
+            "label": label,
+            "point": [float(v) for v in x],
+            "prediction": float(model.predict(x)),
+            "slacks": [float(s) for s in slacks],
+            "violated": [bool(s < 0) for s in slacks],
+            "attributions": methods,
+        })
+    return {
+        "lp_digest": lp.digest(),
+        "encoding": "feasibility",
+        "sample_count": count,
+        "seed": seed,
+        "accuracy": float(np.mean((model.predict_many(val_X) >= 0.5) == (val_y >= 0.5))),
+        "small_threshold": SMALL_ATTRIBUTION,
+        "instances": instances,
+    }
+
+
 class TestFiveDim:
-    def test_shape_checked(self):
+    @pytest.mark.parametrize("name", ["5d", "box", "tri"])
+    def test_matches_the_one_point_recipe(self, name):
+        make_lp, seed, count = STUDY_PROGRAMS[name]
+        want = one_point_study(make_lp(), seed, count)
+        assert canonical_json(study_report(name)) == canonical_json(want)
+
+    @pytest.mark.parametrize("name", ["box", "tri", "random-3x4"])
+    def test_runs_on_any_program(self, name):
+        n = STUDY_PROGRAMS[name][0]().n
+        rep = study_report(name)
+        assert [inst["label"] for inst in rep["instances"]] == ["feasible", "infeasible"]
+        feas, infeas = rep["instances"]
+        assert not any(feas["violated"]) and any(infeas["violated"])
+        for inst in rep["instances"]:
+            assert len(inst["point"]) == n
+            assert inst["violated"] == [s < 0 for s in inst["slacks"]]
+            for entry in inst["attributions"].values():
+                assert len(entry["values"]) == n
+
+    def test_one_class_split_is_a_validation_error(self):
+        # below 10 rows the validation split is empty; nothing reads the summary
         with pytest.raises(ValidationError):
-            experiment_5dim(lp_box(), seed=1, count=2000)
+            experiment_5dim(lp_5d(), seed=0, count=4)
 
     def test_small_scale_report_structure(self):
-        lp = lp_5d()
-        rep = experiment_5dim(lp, seed=3, count=6000)
+        rep = study_report("5d")
         assert set(rep) >= {"accuracy", "instances", "lp_digest", "small_threshold"}
         assert 0.0 <= rep["accuracy"] <= 1.0
         feas, infeas = rep["instances"]
@@ -194,3 +277,19 @@ class TestFiveDim:
                 assert len(entry["values"]) == 5
                 assert entry["small"] == [abs(v) < rep["small_threshold"] for v in entry["values"]]
                 assert entry["sum"] == pytest.approx(sum(entry["values"]))
+
+
+def test_no_study_attributes_one_point_at_a_time(monkeypatch, monotone_model):
+    """Only the one-point ``attribute`` reads ``method_settings`` through the
+    attribution module, so with it raising every study must still finish."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study called the one-point attribute()")
+
+    monkeypatch.setattr(lpattr.attribution, "method_settings", refuse)
+    with pytest.raises(AssertionError):
+        attribute(quad_model(), [1.0, 1.0], "lime")
+    experiment_5dim(lp_tri(), seed=0, count=2000)
+    experiment_lime_vs_saliency(quad_model(), points=10, seed=0)
+    experiment_directed_fp(quad_model(), points=5, seed=0)
+    for tag in METHOD_TAGS:
+        directedness_test(tag, monotone_model, sample_count=20, seed=0)

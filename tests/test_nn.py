@@ -24,7 +24,6 @@ from lpattr.nn import (
     ModelConfig,
     _act,
     _act_deriv,
-    accuracy,
     fit_arrays,
     load_model,
     save_model,
@@ -503,14 +502,9 @@ def test_train_model_uses_split_and_reports():
     model = train_model(ds, tiny_config(epochs=5))
     assert "train_loss" in model.training_summary
     assert "val_loss" in model.training_summary
-    assert "val_accuracy" in model.training_summary
-
-
-def test_accuracy_helper():
-    model = AnalyticModel(fn=lambda X: X[:, 0], grad=lambda X: np.ones_like(X), input_dim=2)
-    X = np.array([[0.9, 0.0], [0.1, 0.0], [0.8, 0.0], [0.2, 0.0]])
-    y = np.array([1.0, 0.0, 0.0, 1.0])
-    assert accuracy(model, X, y) == pytest.approx(0.5)
+    val_X, val_y = ds.val_arrays()
+    predicted = model.predict_many(val_X) >= 0.5
+    assert model.training_summary["val_accuracy"] == float(np.mean(predicted == (val_y >= 0.5)))
 
 
 def test_analytic_model_interface():
