@@ -255,6 +255,8 @@ def _cmd_exp_5d(args) -> None:
     lp = _resolve_lp(args.lp, fallback="5d")
     report = experiment_5dim(lp, seed=args.seed, count=args.count)
     print(f"held-out accuracy: {report['accuracy']:.4f}")
+    verdict = "beats it" if report["beats_majority"] else "does not beat it: the model may have learned nothing"
+    print(f"majority-class share: {report['majority_share']:.4f}; the accuracy {verdict}")
     for inst in report["instances"]:
         slack_marks = [
             f"{s:.4g}{'!' if v else ''}" for s, v in zip(inst["slacks"], inst["violated"])

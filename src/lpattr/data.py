@@ -18,7 +18,9 @@ memory grows with count, not with the number of draws.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import chain, takewhile
 
 import numpy as np
 
@@ -153,15 +155,11 @@ def label_residual(ds: Dataset, lp: LinearProgram) -> float:
 
 
 def save_dataset(ds: Dataset, csv_path) -> None:
-    """CSV with header x1..xn,y (17 significant digits) plus a metadata
-    sidecar at ``<csv_path>.meta.json``."""
-    csv_path = str(csv_path)
+    """CSV with header x1..xn,y, each cell at 17 significant digits as format_float
+    writes it ("%.17g"), plus a metadata sidecar at ``<csv_path>.meta.json``."""
     header = ",".join([f"x{i + 1}" for i in range(ds.n)] + ["y"])
-    lines = [header]
-    for row, target in zip(ds.X, ds.y):
-        lines.append(",".join([format_float(v) for v in row] + [format_float(target)]))
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, np.column_stack([ds.X, ds.y]), fmt="%.17g", delimiter=",", header=header, comments="")
     meta = {
         "lp_digest": ds.lp_digest,
         "kind": ds.kind,
@@ -176,7 +174,7 @@ def save_dataset(ds: Dataset, csv_path) -> None:
         "train_indices": ds.train_indices.tolist(),
         "val_indices": ds.val_indices.tolist(),
     }
-    with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
+    with open(f"{csv_path}.meta.json", "w", encoding="utf-8") as fh:
         fh.write(canonical_json(meta) + "\n")
 
 
@@ -188,19 +186,21 @@ def load_dataset(csv_path) -> Dataset:
 
 def _read_dataset(csv_path: str) -> Dataset:
     with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = fh.read().strip().split("\n")
-    header = lines[0].split(",")
-    n = len(header) - 1
-    rows = [line.split(",") for line in lines[1:]] if len(lines) > 1 else []
-    data = np.array([[float(v) for v in row] for row in rows], dtype=float).reshape(len(rows), n + 1)
-    if not np.isfinite(data).all():
-        raise ValueError("a cell is not a finite number")
+        # float() refuses \x1c-\x1f beside a number, where loadtxt strips them as whitespace
+        separators = any(map(re.compile("[\x1c-\x1f]").search, iter(lambda: fh.read(1 << 16), "")))
+        fh.seek(0)
+        n = next(filter(str.strip, fh), "").count(",")  # the header, after any blank lines
+        rows = takewhile(str.strip, fh)  # the table ends at its first blank line
+        first = next(rows, None)  # loadtxt warns on a table with no rows
+        data = np.loadtxt(chain([first], rows), delimiter=",", comments=None, ndmin=2) if first else np.empty((0, n + 1))
+        if separators or any(map(str.strip, fh)) or data.shape[1] != n + 1 or not np.isfinite(data).all():
+            raise ValueError(f"the table is not one block of rows of {n + 1} finite numbers")
     with open(csv_path + ".meta.json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta["count"] != len(rows):
-        raise ValueError("metadata count does not match the CSV row count")
-    if sorted(meta["train_indices"] + meta["val_indices"]) != list(range(len(rows))):
-        raise ValueError(f"train and val indices do not partition the {len(rows)} rows")
+    split = meta["train_indices"] + meta["val_indices"]  # JSON integers that partition the rows
+    if (meta["count"] != len(data) or set(map(type, split)) - {int}
+            or not np.array_equal(np.sort(split), np.arange(len(data)))):
+        raise ValueError(f"the sidecar's count and split indices do not describe the {len(data)} rows")
     ex = meta["excluded_vertices"]
     return Dataset(
         X=data[:, :n],

@@ -149,12 +149,14 @@ def _pick_instances(lp, X: np.ndarray) -> tuple[int, int]:
 
 def experiment_5dim(lp, seed: int = 0, count: int = 100_000) -> dict:
     """Feasibility study on any program, the five-feature one by default:
-    train, report the held-out accuracy from training, then attribute one
+    train, report the held-out accuracy from training beside the validation
+    split's larger class share (a model that learned nothing scores about
+    that, so ``beats_majority`` says whether it did better), then attribute one
     feasible and one infeasible validation instance under all four methods,
     annotating constraint slacks and flagging attribution entries too small
     to trust."""
     ds = generate_dataset(lp, make_encoding(lp, "feasibility"), count, seed=seed)
-    val_X, _ = ds.val_arrays()
+    val_X, val_y = ds.val_arrays()
     X = val_X[list(_pick_instances(lp, val_X))]
     model = train_model(ds, ModelConfig(seed=seed))
     attributions = {tag: attribute_many(model, X, tag, perturb_cfg=PerturbConfig(seed=sub_seed(seed, 7, mi)))
@@ -178,12 +180,17 @@ def experiment_5dim(lp, seed: int = 0, count: int = 100_000) -> dict:
                 for tag, W in attributions.items()
             },
         })
+    feasible = int(np.count_nonzero(val_y >= 0.5))
+    majority_share = max(feasible, len(val_y) - feasible) / len(val_y)
+    accuracy = model.training_summary["val_accuracy"]
     return {
         "lp_digest": lp.digest(),
         "encoding": "feasibility",
         "sample_count": count,
         "seed": seed,
-        "accuracy": model.training_summary["val_accuracy"],
+        "accuracy": accuracy,
+        "majority_share": majority_share,
+        "beats_majority": accuracy > majority_share,
         "small_threshold": SMALL_ATTRIBUTION,
         "instances": instances,
     }

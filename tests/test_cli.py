@@ -135,6 +135,8 @@ class TestPipeline:
         assert "held-out accuracy" in r.stdout
         report = json.loads((workdir / "files" / "exp-5dim.json").read_text())
         assert [i["label"] for i in report["instances"]] == ["feasible", "infeasible"]
+        verdict = "beats it" if report["beats_majority"] else "does not beat it"
+        assert f"majority-class share: {report['majority_share']:.4f}; the accuracy {verdict}" in r.stdout
 
     def test_exp_5d_runs_on_any_program(self, workdir):
         r = run_cli(["exp-5d", "--lp", "tri", "--count", "6000", "--out", "tri"], workdir)

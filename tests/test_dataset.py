@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from lpattr.errors import CoverageError, ValidationError
 from lpattr.fixtures import lp_box, lp_tri, random_positive_lp
 from lpattr.lp import FEAS_TOL, feasible_mask, vertex_bbox
 from lpattr.seeding import rng
+from lpattr.serialize import format_float
 
 
 BOX_BBOX = np.array([[0.0, 3.0], [0.0, 4.5]])
@@ -159,6 +163,128 @@ def test_save_is_byte_deterministic(tmp_path):
     save_dataset(generate_dataset(lp, enc, 400, seed=23), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert (tmp_path / "a.csv.meta.json").read_bytes() == (tmp_path / "b.csv.meta.json").read_bytes()
+
+
+def reference_csv(ds):
+    """The dataset CSV as the writer used to build it, one ``format_float`` per cell."""
+    lines = [",".join([f"x{i + 1}" for i in range(ds.n)] + ["y"])]
+    lines += [",".join([format_float(v) for v in row] + [format_float(t)]) for row, t in zip(ds.X, ds.y)]
+    return "\n".join(lines) + "\n"
+
+
+# signed zero, the smallest subnormal, a tiny normal, the largest double and a negative subnormal
+PLANTED = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -5e-324]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 250])
+def test_csv_matches_the_per_cell_writer_and_loads_the_same_bits(tmp_path, count):
+    lp = lp_box()
+    ds = generate_dataset(lp, make_encoding(lp, "boundary-distance"), count, seed=29)
+    table = np.column_stack([ds.X, ds.y])
+    cells = table.ravel()  # a view: planting here plants in the table
+    cells[:len(PLANTED)] = PLANTED[:cells.size]
+    ds = dataclasses.replace(ds, X=table[:, :-1].copy(), y=table[:, -1].copy())
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    assert path.read_text(encoding="utf-8") == reference_csv(ds)
+    back = load_dataset(path)
+    assert back.X.shape == ds.X.shape and back.X.tobytes() == ds.X.tobytes()
+    assert back.y.tobytes() == ds.y.tobytes()
+
+
+def test_loading_holds_no_per_cell_objects(tmp_path):
+    # 20,000 rows of (x1, x2, y) are 0.46 MB of float64; one Python str and
+    # one float per cell would take about 30 times that
+    lp = lp_box()
+    ds = generate_dataset(lp, make_encoding(lp, "boundary-distance"), 20_000, seed=31)
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.X.tobytes() == ds.X.tobytes()
+    assert peak <= 6 * (ds.X.nbytes + ds.y.nbytes)
+
+
+def _cell(edit, row=3, col=1):
+    """A CSV edit that rewrites one cell of one table row."""
+    def apply(lines):
+        cells = lines[row].split(",")
+        cells[col] = edit(cells[col])
+        return lines[:row] + [",".join(cells)] + lines[row + 1:]
+    return apply
+
+
+def _index_1_as(value):
+    """A sidecar edit that writes the split index 1 as ``value``, which ``== 1`` in Python."""
+    def apply(meta):
+        key = "train_indices" if 1 in meta["train_indices"] else "val_indices"
+        meta[key] = [value if i == 1 else i for i in meta[key]]
+        return meta
+    return apply
+
+
+def _first_rows(k):
+    """A sidecar edit that describes only the table's first ``k`` rows."""
+    def apply(meta):
+        for key in ("train_indices", "val_indices"):
+            meta[key] = [i for i in meta[key] if i < k]
+        return dict(meta, count=k)
+    return apply
+
+
+# name: (edit of the CSV's lines, edit of the sidecar's dict); None leaves it as saved
+MALFORMED = {
+    "blank line inside the table": (lambda lines: lines[:4] + [""] + lines[4:], None),
+    "blank line before rows the sidecar leaves out": (lambda lines: lines[:4] + [""] + lines[4:], _first_rows(3)),
+    "whitespace line inside the table": (lambda lines: lines[:4] + ["  "] + lines[4:], None),
+    "'#' suffix on a cell": (_cell(lambda c: c + "#"), None),
+    "'#' and a number after the last cell": (_cell(lambda c: c + "#1", col=2), None),
+    "trailing comma": (_cell(lambda c: c + ",", col=2), None),
+    "short row": (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:], None),
+    "extra column": (_cell(lambda c: c + ",1", col=2), None),
+    "extra column on every row": (lambda lines: lines[:1] + [line + ",1" for line in lines[1:]], None),
+    "header only, sidecar count 20": (lambda lines: lines[:1], None),
+    "non-UTF-8 byte": (_cell(lambda c: c + "\udcff"), None),
+    "underscore in a number": (_cell(lambda c: "1_0"), None),
+    "separator \\x1c beside a number": (_cell(lambda c: "\x1c" + c), None),
+    "sidecar index true": (None, _index_1_as(True)),
+    "sidecar index 1.0": (None, _index_1_as(1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_tables_and_sidecars_are_rejected(tmp_path, case):
+    lp = lp_box()
+    path, sidecar = tmp_path / "ds.csv", tmp_path / "ds.csv.meta.json"
+    save_dataset(generate_dataset(lp, make_encoding(lp, "boundary-distance"), 20, seed=3), path)
+    edit_lines, edit_meta = MALFORMED[case]
+    if edit_lines:
+        lines = edit_lines(path.read_text(encoding="utf-8").splitlines())
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    if edit_meta:
+        sidecar.write_text(json.dumps(edit_meta(json.loads(sidecar.read_text(encoding="utf-8")))), encoding="utf-8")
+    with pytest.raises(ValidationError, match="not a dataset file"):
+        load_dataset(path)
+
+
+def test_blank_lines_around_the_table_and_header_only_files_load(tmp_path):
+    lp = lp_box()
+    enc = make_encoding(lp, "boundary-distance")
+    path = tmp_path / "ds.csv"
+    save_dataset(generate_dataset(lp, enc, 0, seed=3), path)
+    assert path.read_text(encoding="utf-8") == "x1,x2,y\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_dataset(path)
+    assert back.X.shape == (0, 2) and back.y.shape == (0,)
+    ds = generate_dataset(lp, enc, 20, seed=3)
+    save_dataset(ds, path)
+    path.write_text("\n \n" + path.read_text(encoding="utf-8") + "\n\t\n", encoding="utf-8")
+    assert load_dataset(path).X.tobytes() == ds.X.tobytes()
 
 
 def oracle_draw(lp, bbox, count, seed):

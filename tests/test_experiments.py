@@ -199,8 +199,9 @@ def study_report(name):
 def one_point_study(lp, seed, count):
     """The feasibility study one point and one method at a time: a one-point
     ``attribute`` per tag on ``sub_seed(seed, 7, mi)``, ``model.predict`` per
-    instance, and the accuracy by thresholding ``predict_many`` on the
-    validation split; the recipe whose bytes the batched study must keep."""
+    instance, the accuracy by thresholding ``predict_many`` on the validation
+    split and the split's larger class share by counting its labels; the
+    recipe whose bytes the batched study must keep."""
     ds = generate_dataset(lp, make_encoding(lp, "feasibility"), count, seed=seed)
     model = train_model(ds, ModelConfig(seed=seed))
     val_X, val_y = ds.val_arrays()
@@ -224,12 +225,16 @@ def one_point_study(lp, seed, count):
             "violated": [bool(s < 0) for s in slacks],
             "attributions": methods,
         })
+    accuracy = float(np.mean((model.predict_many(val_X) >= 0.5) == (val_y >= 0.5)))
+    majority_share = int(np.bincount((val_y >= 0.5).astype(int)).max()) / len(val_y)
     return {
         "lp_digest": lp.digest(),
         "encoding": "feasibility",
         "sample_count": count,
         "seed": seed,
-        "accuracy": float(np.mean((model.predict_many(val_X) >= 0.5) == (val_y >= 0.5))),
+        "accuracy": accuracy,
+        "majority_share": majority_share,
+        "beats_majority": accuracy > majority_share,
         "small_threshold": SMALL_ATTRIBUTION,
         "instances": instances,
     }
@@ -264,6 +269,8 @@ class TestFiveDim:
         rep = study_report("5d")
         assert set(rep) >= {"accuracy", "instances", "lp_digest", "small_threshold"}
         assert 0.0 <= rep["accuracy"] <= 1.0
+        assert 0.5 <= rep["majority_share"] <= 1.0
+        assert rep["beats_majority"] is (rep["accuracy"] > rep["majority_share"])
         feas, infeas = rep["instances"]
         assert feas["label"] == "feasible" and not any(feas["violated"])
         assert infeas["label"] == "infeasible" and any(infeas["violated"])
