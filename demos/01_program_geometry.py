@@ -12,8 +12,8 @@ import numpy as np
 from lpattr.fixtures import lp_box, lp_tri
 from lpattr.lp import (
     enumerate_vertices,
-    min_slack,
-    project_feasible,
+    min_slack_many,
+    project_feasible_many,
     slack_values,
     solve_on_vertices,
     vertex_bbox,
@@ -39,15 +39,15 @@ for name, lp in (("box", lp_box()), ("tri", lp_tri())):
     # nearest constraint row is (negative = violated).
     for x in (np.array([0.5, 0.5]), np.array([5.0, 5.0])):
         print(f"slacks at {x}: {np.round(slack_values(lp, x[None, :])[0], 4)}"
-              f"  min_slack = {min_slack(lp, x):.4f}")
+              f"  min_slack = {min_slack_many(lp, x)[0]:.4f}")
 
     # Projection returns the nearest feasible point; feasible inputs are
     # fixed points of it.
     outside = np.array([4.0, 4.0])
-    p = project_feasible(lp, outside)
+    p = project_feasible_many(lp, outside)[0]
     print(f"projection of {outside} onto the polytope: {np.round(p, 6)}")
     inside = np.array([0.25, 0.25])
-    assert np.array_equal(project_feasible(lp, inside), inside)
+    assert np.array_equal(project_feasible_many(lp, inside)[0], inside)
 
     # Sampling and plotting regions default to 1.5x the vertex bounding box.
     print("default sampling box:")

@@ -28,7 +28,7 @@ print("training summary:", {k: round(v, 6) for k, v in model.training_summary.it
 
 # The model answers two queries: values and input gradients.
 x = np.array([1.0, 1.5])
-print(f"target  at {x}: {enc.value(x):.4f}")
+print(f"target  at {x}: {enc.values(x)[0]:.4f}")
 print(f"predict at {x}: {model.predict(x):.4f}")
 print(f"input gradient: {np.round(model.input_gradient(x), 4)}")
 

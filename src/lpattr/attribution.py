@@ -1,10 +1,10 @@
 """Four feature-attribution methods plus a directed variant.
 
 All methods consume any model exposing predict_many and input_gradient_many;
-integrated gradients also reads its smooth_gradient. Each has one many-point
-core: ``attribute_many`` maps a point matrix X (N, n) to (N, n) values, and
-``attribute`` and the per-point functions are one-row wrappers over it that
-add the method tag.
+integrated gradients also reads its smooth_gradient. ``attribute_many``, the
+one dispatch, maps a point matrix X (N, n) to (N, n) values; ``attribute`` is
+its one-point form, which adds the method tag. All but saliency keep a named
+one-point form over it, because lpbench calls or traces those.
 
 - integrated_gradients: path integral of the gradient from a baseline; sums
   to F(x) - F(baseline) up to quadrature error (completeness). The model's
@@ -256,10 +256,6 @@ def attribute(model, x, method: str, ig_cfg: IGConfig | None = None, perturb_cfg
 
 def integrated_gradients(model, x, cfg: IGConfig = IGConfig()) -> AttributionVector:
     return attribute(model, x, "integrated-gradients", ig_cfg=cfg)
-
-
-def saliency(model, x) -> AttributionVector:
-    return attribute(model, x, "saliency")
 
 
 def feature_permutation(model, x, cfg: PerturbConfig = PerturbConfig(), deltas=None) -> AttributionVector:

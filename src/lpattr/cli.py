@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: gen-data, train, attribute, grid, props, exp-lime-sal,
-exp-directed-fp, exp-5d, render, verify. Every subcommand accepts
---lp/--seed/--out; --lp takes a program file or a built-in name (box, tri,
-5d). Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 a
+exp-directed-fp, exp-5d, render, verify. A shared flag is only where it is
+read: --lp (a program file or built-in name: box, tri, 5d) on gen-data,
+props, exp-5d and verify, --seed on all but render and verify, --out on all.
+Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 a
 study could not measure, or its checked trend failed (report written).
 """
 
@@ -327,10 +328,10 @@ def _add_perturb_flags(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lp", help="program file, or built-in name: box, tri, 5d")
-    common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument("--out", default="out", help="output directory")
+    lp, seed, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    lp.add_argument("--lp", help="program file, or built-in name: box, tri, 5d")
+    seed.add_argument("--seed", type=int, default=0, help="master seed")
+    out.add_argument("--out", default="out", help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="lpattr",
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     cfg = ModelConfig()
 
-    sub = subs.add_parser("gen-data", parents=[common], help="sample one encoding into a CSV dataset")
+    sub = subs.add_parser("gen-data", parents=[lp, seed, out], help="sample one encoding into a CSV dataset")
     sub.add_argument("--encoding", required=True, choices=ENCODING_KINDS)
     sub.add_argument("--count", type=int, default=100_000, help="sample count")
     sub.add_argument("--bbox", help="sampling box: lo,hi per feature, flattened")
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--name", help="output stem (default data-<encoding>)")
     sub.set_defaults(func=_cmd_gen_data)
 
-    sub = subs.add_parser("train", parents=[common], help="fit the network on a dataset")
+    sub = subs.add_parser("train", parents=[seed, out], help="fit the network on a dataset")
     sub.add_argument("--data", required=True, help="dataset CSV from gen-data")
     sub.add_argument("--depth", type=int, default=cfg.depth, help="weight layers")
     sub.add_argument("--width", type=int, dest="hidden_width", metavar="WIDTH", default=cfg.hidden_width, help="hidden width")
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--name", help="output stem (default <data>-model)")
     sub.set_defaults(func=_cmd_train)
 
-    sub = subs.add_parser("attribute", parents=[common], help="attribute one point under one method")
+    sub = subs.add_parser("attribute", parents=[seed, out], help="attribute one point under one method")
     sub.add_argument("--model", required=True, help="model file from train")
     sub.add_argument("--method", required=True, choices=METHOD_TAGS)
     sub.add_argument("--point", required=True, help="comma-separated coordinates")
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--name", help="also write <name>.csv under --out")
     sub.set_defaults(func=_cmd_attribute)
 
-    sub = subs.add_parser("grid", parents=[common], help="attribution raster over two features")
+    sub = subs.add_parser("grid", parents=[seed, out], help="attribution raster over two features")
     sub.add_argument("--model", required=True)
     sub.add_argument("--method", required=True, choices=METHOD_TAGS)
     sub.add_argument("--dim-x", type=int, default=0)
@@ -385,11 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--name", help="output stem (default grid-<method>)")
     sub.set_defaults(func=_cmd_grid)
 
-    sub = subs.add_parser("props", parents=[common], help="empirical property table for all encodings")
+    sub = subs.add_parser("props", parents=[lp, seed, out], help="empirical property table for all encodings")
     sub.add_argument("--samples", type=int, default=4000, help="sample count per check")
     sub.set_defaults(func=_cmd_props)
 
-    sub = subs.add_parser("exp-lime-sal", parents=[common], help="surrogate-vs-gradient convergence study")
+    sub = subs.add_parser("exp-lime-sal", parents=[seed, out], help="surrogate-vs-gradient convergence study")
     sub.add_argument("--model", required=True)
     sub.add_argument("--radii", default="0.5,0.1,0.02", help="descending radii")
     sub.add_argument("--points", type=int, default=50)
@@ -397,22 +398,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ridge-lambda", type=float, default=1.0)
     sub.set_defaults(func=_cmd_exp_lime_sal)
 
-    sub = subs.add_parser("exp-directed-fp", parents=[common], help="directed-probe equivalence study")
+    sub = subs.add_parser("exp-directed-fp", parents=[seed, out], help="directed-probe equivalence study")
     sub.add_argument("--model", required=True)
     sub.add_argument("--radius", type=float, default=0.1)
     sub.add_argument("--points", type=int, default=100)
     sub.set_defaults(func=_cmd_exp_directed_fp)
 
-    sub = subs.add_parser("exp-5d", parents=[common], help="feasibility study on any program (default 5d)")
+    sub = subs.add_parser("exp-5d", parents=[lp, seed, out], help="feasibility study on any program (default 5d)")
     sub.add_argument("--count", type=int, default=100_000, help="training sample count")
     sub.set_defaults(func=_cmd_exp_5d)
 
-    sub = subs.add_parser("render", parents=[common], help="render a channel CSV as a PPM heatmap")
+    sub = subs.add_parser("render", parents=[out], help="render a channel CSV as a PPM heatmap")
     sub.add_argument("--matrix", required=True, help="row,col,value CSV")
     sub.add_argument("--output", help="output image path")
     sub.set_defaults(func=_cmd_render)
 
-    sub = subs.add_parser("verify", parents=[common], help="recheck emitted grids and datasets")
+    sub = subs.add_parser("verify", parents=[lp, out], help="recheck emitted grids and datasets")
     sub.add_argument("--dir", help="directory holding *_manifest.json (default --out)")
     sub.add_argument("--data", help="dataset CSV to recheck against --lp")
     sub.set_defaults(func=_cmd_verify)

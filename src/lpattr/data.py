@@ -24,7 +24,7 @@ from itertools import chain, takewhile
 
 import numpy as np
 
-from .encodings import Encoding, make_encoding
+from .encodings import ENCODING_KINDS, Encoding, make_encoding
 from .errors import CoverageError, ValidationError, malformed_file
 # enumerate_vertices is not called here; lpbench's tracer test asserts this module holds it
 from .lp import LinearProgram, enumerate_vertices, feasible_mask, vertex_bbox  # noqa: F401
@@ -201,6 +201,10 @@ def _read_dataset(csv_path: str) -> Dataset:
     if (meta["count"] != len(data) or set(map(type, split)) - {int}
             or not np.array_equal(np.sort(split), np.arange(len(data)))):
         raise ValueError(f"the sidecar's count and split indices do not describe the {len(data)} rows")
+    fields_ok = {"seed": type(meta["seed"]) is int, "balance_warning": type(meta["balance_warning"]) is bool,
+                 "kind": meta["kind"] in ENCODING_KINDS, "lp_digest": type(meta["lp_digest"]) is str}
+    if bad := [name for name, ok in fields_ok.items() if not ok]:
+        raise ValueError(f"the sidecar's {', '.join(bad)} has a wrong type or value")
     ex = meta["excluded_vertices"]
     return Dataset(
         X=data[:, :n],

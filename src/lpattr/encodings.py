@@ -25,7 +25,6 @@ from .errors import ConfigurationError, EmptyVertexSetError
 from .lp import (
     VERTEX_DEDUP_TOL,
     LinearProgram,
-    as_point,
     as_points,
     enumerate_vertices,
     feasible_mask,
@@ -93,9 +92,6 @@ class Encoding:
             # one (N,) distance array per vertex at a time, not an (N, k, n) broadcast
             return reduce(np.minimum, (np.linalg.norm(X - v, axis=1) for v in self._retained))
         return self._gain_penalty_values(X)
-
-    def value(self, x) -> float:
-        return float(self.values(as_point(x, self.lp.n))[0])
 
     def _gain_penalty_values(self, X: np.ndarray) -> np.ndarray:
         lp = self.lp

@@ -108,9 +108,6 @@ class VertexSet:
     vertices: np.ndarray  # (k, n), lexicographically sorted rows
     bases: tuple = field(repr=False)  # sorted row tuples of the feasible bases
 
-    def __len__(self) -> int:
-        return self.vertices.shape[0]
-
 
 def as_point(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -150,16 +147,6 @@ def min_slack_many(lp: LinearProgram, X) -> np.ndarray:
 def feasible_mask(lp: LinearProgram, X) -> np.ndarray:
     X = as_points(X, lp.n)
     return (min_slack_many(lp, X) >= -FEAS_TOL) & (_row_min(X) >= -FEAS_TOL)
-
-
-def is_feasible(lp: LinearProgram, x) -> bool:
-    """True iff ``A x <= b`` and ``x >= 0``, both within FEAS_TOL (boundary inclusive)."""
-    return bool(feasible_mask(lp, as_point(x, lp.n))[0])
-
-
-def min_slack(lp: LinearProgram, x) -> float:
-    """Minimum of ``b - A x`` over rows. Ignores the nonnegativity bounds."""
-    return float(min_slack_many(lp, as_point(x, lp.n))[0])
 
 
 def _solve_bases(normals: np.ndarray, offsets: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -317,11 +304,6 @@ def project_feasible_many(lp: LinearProgram, X) -> np.ndarray:
         if left.size == 0:
             return out
     raise ProjectionFailureError(f"no active set certifies the projection of {left.size} row(s)")
-
-
-def project_feasible(lp: LinearProgram, x) -> np.ndarray:
-    """Closest feasible point to ``x``; equal to ``x`` when it is already feasible."""
-    return project_feasible_many(lp, as_point(x, lp.n))[0]
 
 
 def solve_on_vertices(lp: LinearProgram, direction: str = "minimize"):

@@ -72,6 +72,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("depth", "hidden_width", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.depth < 2:
             raise ConfigurationError("depth must be >= 2 (at least one hidden layer)")
         if self.hidden_width < 1:
@@ -406,6 +410,8 @@ def load_model(path) -> Model:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValidationError(f"{path} is not a model file")
         header = json.loads(fh.readline().decode("utf-8"))
+        if type(header["input_dim"]) is not int or not isinstance(header["training_summary"], dict):
+            raise ValueError("input_dim is not an integer or training_summary is not a JSON object")
         config = ModelConfig(**header["config"])
         sizes = _layer_sizes(header["input_dim"], config)
         shapes = {f"W{i}": (sizes[i + 1], sizes[i]) for i in range(config.depth)}

@@ -42,15 +42,3 @@ def render_heatmap(matrix: np.ndarray, path) -> bytes:
     with open(path, "wb") as fh:
         fh.write(data)
     return data
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read back a binary PPM as (H, W, 3) uint8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    parts = data.split(b"\n", 3)
-    if parts[0] != b"P6":
-        raise RenderError("not a binary PPM file")
-    w, h = (int(v) for v in parts[1].split())
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=w * h * 3)
-    return pixels.reshape(h, w, 3)

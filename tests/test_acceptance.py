@@ -17,7 +17,7 @@ from lpattr.encodings import ENCODING_KINDS
 from lpattr.experiments import experiment_directed_fp, experiment_lime_vs_saliency
 from lpattr.fixtures import lp_box, lp_tri, random_positive_lp
 from lpattr.grid import GridSpec, grid_attribution, save_grid_result, verify_grid_files
-from lpattr.lp import enumerate_vertices, feasible_mask, project_feasible, vertex_bbox
+from lpattr.lp import enumerate_vertices, feasible_mask, project_feasible_many, vertex_bbox
 from lpattr.nn import AnalyticModel
 from lpattr.properties import (
     EXPECTED_ENCODING_TRAITS,
@@ -203,7 +203,7 @@ def test_ac07_geometry_matches_oracles(capsys):
         candidates = grid[feasible_mask(lp, grid)]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(707)))
         for x in rng.uniform(bbox[:, 0], bbox[:, 1], size=(30, 2)):
-            p = project_feasible(lp, x)
+            p = project_feasible_many(lp, x)[0]
             best = candidates[np.argmin(np.linalg.norm(candidates - x, axis=1))]
             gap = float(np.linalg.norm(p - best))
             worst_gap = max(worst_gap, gap)

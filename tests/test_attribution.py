@@ -20,7 +20,6 @@ from lpattr.attribution import (
     integrated_gradients,
     lime,
     method_settings,
-    saliency,
 )
 from lpattr.errors import ConfigurationError, RankDeficiencyError
 from lpattr.grid import GridSpec, grid_attribution
@@ -206,17 +205,17 @@ def test_saliency_hand_values():
         grad=lambda X: np.column_stack([np.full(len(X), 3.0), 2 * X[:, 1]]),
         input_dim=2,
     )
-    np.testing.assert_allclose(saliency(m, [1.0, 2.0]).values, [3.0, 4.0])
+    np.testing.assert_allclose(attribute(m, [1.0, 2.0], "saliency").values, [3.0, 4.0])
 
 
 def test_saliency_zero_at_stationary_point():
-    np.testing.assert_array_equal(saliency(shifted_square_1d(), [1.0]).values, [0.0])
+    np.testing.assert_array_equal(attribute(shifted_square_1d(), [1.0], "saliency").values, [0.0])
 
 
 def test_saliency_is_input_gradient_verbatim():
     m = smooth_2d()
     x = np.array([0.3, 0.7])
-    np.testing.assert_array_equal(saliency(m, x).values, m.input_gradient(x))
+    np.testing.assert_array_equal(attribute(m, x, "saliency").values, m.input_gradient(x))
 
 
 # -------------------------------------------------------- feature permutation
@@ -490,7 +489,7 @@ def test_attribution_sum_is_sum_of_values():
 
 
 def test_csv_row_shape():
-    av = saliency(linear_model([2.0, 1.0]), [1.0, 2.0])
+    av = attribute(linear_model([2.0, 1.0]), [1.0, 2.0], "saliency")
     row = av.csv_row().split(",")
     assert row[0] == "saliency"
     assert len(row) == 1 + 2 + 2 + 1

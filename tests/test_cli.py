@@ -237,6 +237,39 @@ def test_study_flags_keep_the_library_defaults(argv, dest, fn, param):
     assert got == inspect.signature(fn).parameters[param].default
 
 
+# each subcommand with its required flags
+SUBCOMMANDS = {
+    "gen-data": ["--encoding", "feasibility"],
+    "train": ["--data", "d.csv"],
+    "attribute": ["--model", "m", "--method", "saliency", "--point", "1,2"],
+    "grid": ["--model", "m", "--method", "saliency"],
+    "props": [],
+    "exp-lime-sal": ["--model", "m"],
+    "exp-directed-fp": ["--model", "m"],
+    "exp-5d": [],
+    "render": ["--matrix", "c.csv"],
+    "verify": [],
+}
+# the shared flags, each only on the subcommands that read it; --out is on all
+SHARED_FLAG_TAKERS = {
+    "--lp": {"gen-data", "props", "exp-5d", "verify"},
+    "--seed": set(SUBCOMMANDS) - {"render", "verify"},
+}
+
+
+@pytest.mark.parametrize("flag, value", [("--lp", "tri"), ("--seed", "3"), ("--out", "o")])
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_shared_flags_parse_only_where_read(command, flag, value, capsys):
+    argv = [command, *SUBCOMMANDS[command], flag, value]
+    if command in SHARED_FLAG_TAKERS.get(flag, SUBCOMMANDS):
+        assert str(getattr(lpattr.cli.build_parser().parse_args(argv), flag[2:])) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            lpattr.cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 def save_flat_model(path, depth=2, **changes):
     """A zero network of ``depth`` layers on two features; ``changes``
     overwrite Model fields, so the header can disagree with the arrays."""
@@ -288,7 +321,12 @@ class TestExitCodes:
         lambda meta: meta["val_indices"].append(meta["train_indices"][0]),
         lambda meta: meta["bbox"].__setitem__(0, ["1", "1"]),
         lambda meta: meta["bbox"].__setitem__(0, ["0", "nan"]),
-    ], ids=["non-numeric", "index-out-of-range", "index-in-both-splits", "bbox-degenerate", "bbox-nan"])
+        lambda meta: meta.__setitem__("seed", [1, "x"]),
+        lambda meta: meta.__setitem__("balance_warning", "no"),
+        lambda meta: meta.__setitem__("kind", 7),
+        lambda meta: meta.__setitem__("lp_digest", 5),
+    ], ids=["non-numeric", "index-out-of-range", "index-in-both-splits", "bbox-degenerate", "bbox-nan",
+            "seed-list", "balance-warning-string", "kind-int", "lp-digest-int"])
     def test_malformed_dataset_file_exits_2(self, tmp_path, split_edit):
         r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "40", "--out", "files"], tmp_path)
         assert r.returncode == 0, r.stderr
@@ -306,19 +344,32 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "not a dataset file" in r.stderr
 
-    @pytest.mark.parametrize("keep, depth, changes", [
-        (200, 2, {}),
-        (-8, 2, {}),
-        (None, 2, {"input_dim": 3}),
-        (None, 3, {"config": ModelConfig(depth=2, hidden_width=4)}),
-        (None, 2, {"bbox": np.tile([0.0, 1.0], (3, 1))}),
-        (None, 2, {"bbox": np.array([[1.0, 1.0], [0.0, 1.0]])}),
-        (None, 2, {"weights": [np.array([[np.nan, 0.0]] + [[0.0, 0.0]] * 3), np.zeros((1, 4))]}),
+    @pytest.mark.parametrize("keep, depth, changes, header_edit", [
+        (200, 2, {}, None),
+        (-8, 2, {}, None),
+        (None, 2, {"input_dim": 3}, None),
+        (None, 3, {"config": ModelConfig(depth=2, hidden_width=4)}, None),
+        (None, 2, {"bbox": np.tile([0.0, 1.0], (3, 1))}, None),
+        (None, 2, {"bbox": np.array([[1.0, 1.0], [0.0, 1.0]])}, None),
+        (None, 2, {"weights": [np.array([[np.nan, 0.0]] + [[0.0, 0.0]] * 3), np.zeros((1, 4))]}, None),
+        (None, 2, {}, lambda header: header["config"].__setitem__("seed", "x")),
+        (None, 2, {}, lambda header: header["config"].__setitem__("epochs", 2.5)),
+        (None, 2, {}, lambda header: header["config"].__setitem__("batch_size", True)),
+        (None, 2, {}, lambda header: header["config"].__setitem__("hidden_width", 4.0)),
+        (None, 2, {}, lambda header: header.__setitem__("training_summary", [1])),
+        (None, 2, {}, lambda header: header.__setitem__("input_dim", 2.0)),
     ], ids=["truncated-header", "short-array", "input-dim-mismatch", "depth-mismatch", "bbox-shape",
-            "bbox-degenerate", "nan-weight"])
-    def test_malformed_model_file_exits_2(self, tmp_path, keep, depth, changes):
+            "bbox-degenerate", "nan-weight", "seed-string", "epochs-fraction", "batch-size-bool",
+            "width-float", "summary-list", "input-dim-float"])
+    def test_malformed_model_file_exits_2(self, tmp_path, keep, depth, changes, header_edit):
         save_flat_model(tmp_path / "full.model", depth, **changes)
-        (tmp_path / "bad.model").write_bytes((tmp_path / "full.model").read_bytes()[:keep])
+        data = (tmp_path / "full.model").read_bytes()
+        if header_edit is not None:
+            magic, header, arrays = data.split(b"\n", 2)
+            header = json.loads(header)
+            header_edit(header)
+            data = b"\n".join([magic, json.dumps(header).encode(), arrays])
+        (tmp_path / "bad.model").write_bytes(data[:keep])
         r = run_cli(["attribute", "--model", "bad.model", "--method", "saliency", "--point", "0.5,0.5"], tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "bad.model is not a model file" in r.stderr

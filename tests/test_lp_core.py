@@ -32,11 +32,8 @@ from lpattr.lp import (
     _solve_bases,
     enumerate_vertices,
     feasible_mask,
-    is_feasible,
     load_lp,
-    min_slack,
     min_slack_many,
-    project_feasible,
     project_feasible_many,
     save_lp,
     slack_values,
@@ -156,29 +153,29 @@ def test_lp_validation():
 
 def test_is_feasible_box():
     lp = lp_box()
-    assert is_feasible(lp, [1, 1])
-    assert is_feasible(lp, [2, 3])  # inclusive boundary
-    assert not is_feasible(lp, [3, 1])
-    assert not is_feasible(lp, [1, -0.1])
+    assert feasible_mask(lp, [1, 1])[0]
+    assert feasible_mask(lp, [2, 3])[0]  # inclusive boundary
+    assert not feasible_mask(lp, [3, 1])[0]
+    assert not feasible_mask(lp, [1, -0.1])[0]
 
 
 def test_is_feasible_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        is_feasible(lp_box(), [1.0, 1.0, 1.0])
+        feasible_mask(lp_box(), [1.0, 1.0, 1.0])
 
 
 def test_min_slack_box():
     lp = lp_box()
-    assert min_slack(lp, [1, 1]) == pytest.approx(1.0)
-    assert min_slack(lp, [2, 3]) == pytest.approx(0.0)
-    assert min_slack(lp, [3, 4]) == pytest.approx(-1.0)
+    assert min_slack_many(lp, [1, 1])[0] == pytest.approx(1.0)
+    assert min_slack_many(lp, [2, 3])[0] == pytest.approx(0.0)
+    assert min_slack_many(lp, [3, 4])[0] == pytest.approx(-1.0)
 
 
 def test_min_slack_ignores_nonnegativity():
     lp = lp_box()
     # negative coordinates do not show up in the slack
-    assert min_slack(lp, [-1, -1]) == pytest.approx(3.0)
-    assert not is_feasible(lp, [-1, -1])
+    assert min_slack_many(lp, [-1, -1])[0] == pytest.approx(3.0)
+    assert not feasible_mask(lp, [-1, -1])[0]
 
 
 def test_feasibility_matches_slack_and_sign_condition():
@@ -186,8 +183,8 @@ def test_feasibility_matches_slack_and_sign_condition():
     rng = np.random.Generator(np.random.PCG64(5))
     X = rng.uniform(-1.0, 3.0, size=(500, 3))
     for x in X:
-        expected = (min_slack(lp, x) >= -FEAS_TOL) and (x >= -FEAS_TOL).all()
-        assert is_feasible(lp, x) == expected
+        expected = (min_slack_many(lp, x)[0] >= -FEAS_TOL) and (x >= -FEAS_TOL).all()
+        assert feasible_mask(lp, x)[0] == expected
 
 
 # ---------------------------------------------------------------- vertices
@@ -265,7 +262,7 @@ def test_vertex_soundness():
     normals = np.vstack([lp.A, np.eye(lp.n)])
     offsets = np.concatenate([lp.b, np.zeros(lp.n)])
     for v in vs.vertices:
-        assert is_feasible(lp, v)
+        assert feasible_mask(lp, v)[0]
         active = np.abs(normals @ v - offsets) <= 1e-7
         assert active.sum() >= lp.n
         assert np.linalg.matrix_rank(normals[active]) == lp.n
@@ -392,15 +389,15 @@ def test_vertex_walk_solves_follow_the_output(monkeypatch):
 
 def test_projection_identity_on_feasible():
     lp = lp_box()
-    np.testing.assert_array_equal(project_feasible(lp, [1, 1]), [1, 1])
+    np.testing.assert_array_equal(project_feasible_many(lp, [1, 1])[0], [1, 1])
 
 
 def test_projection_clamps_box():
-    np.testing.assert_allclose(project_feasible(lp_box(), [3, 3]), [2, 3], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(project_feasible_many(lp_box(), [3, 3])[0], [2, 3], rtol=0, atol=1e-12)
 
 
 def test_projection_tri_diagonal():
-    np.testing.assert_allclose(project_feasible(lp_tri(), [4, 4]), [2, 2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(project_feasible_many(lp_tri(), [4, 4])[0], [2, 2], rtol=0, atol=1e-12)
 
 
 def test_projection_against_grid_oracle():
@@ -408,10 +405,10 @@ def test_projection_against_grid_oracle():
     rng = np.random.Generator(np.random.PCG64(3))
     for _ in range(5):
         x = rng.uniform(0, 6, size=2)
-        p = project_feasible(lp, x)
+        p = project_feasible_many(lp, x)[0]
         _, best, pitch = oracle_grid_projection(lp, x, per_axis=201)
         assert np.linalg.norm(x - p) <= best + 2 * pitch
-        assert min_slack(lp, p) >= -1e-12 and (p >= -1e-12).all()
+        assert min_slack_many(lp, p)[0] >= -1e-12 and (p >= -1e-12).all()
 
 
 def test_projection_variational_inequality():
@@ -421,7 +418,7 @@ def test_projection_variational_inequality():
     hi = np.max(enumerate_vertices(lp).vertices, axis=0)
     X = rng.uniform(0, 2 * hi, size=(20, 3))
     Z = rng.uniform(0, hi, size=(500, 3))
-    Z = Z[[is_feasible(lp, z) for z in Z]]
+    Z = Z[feasible_mask(lp, Z)]
     assert len(Z) > 50
     P = project_feasible_many(lp, X)
     for x, p in zip(X, P):
@@ -442,7 +439,7 @@ def assert_projection_certified(lp, X, P):
     """Feasible rows are returned unchanged; every projection is feasible and
     passes the vertex certificate: p is the projection of x iff p is feasible
     and (x - p).(v - p) <= 0 for every vertex v of the polytope."""
-    inside = np.array([is_feasible(lp, x) for x in X])
+    inside = feasible_mask(lp, X)
     np.testing.assert_array_equal(P[inside], X[inside])
     assert (P @ lp.A.T - lp.b).max() <= 1e-12 and (-P).max() <= 1e-12
     # past n = 8 the oracle's determinants take too long; the walk's vertex

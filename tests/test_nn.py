@@ -142,6 +142,12 @@ def test_config_validation():
     for rate in (np.nan, np.inf):
         with pytest.raises(ConfigurationError):
             ModelConfig(learning_rate=rate)
+    # numpy integers count as integers; a bool, a whole float or a string does not
+    for field in ("depth", "hidden_width", "epochs", "batch_size", "seed"):
+        assert getattr(ModelConfig(**{field: np.int64(3)}), field) == 3
+        for value in (True, 3.0, "3"):
+            with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+                ModelConfig(**{field: value})
 
 
 def test_dimension_mismatch():
