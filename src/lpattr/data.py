@@ -12,7 +12,9 @@ class gives all it has and balance_warning records it. Each class takes its
 first points in draw order and the sample keeps draw order, so the content
 is a pure function of (lp, encoding, count, bbox, seed). While drawing,
 each class keeps only its first ``count`` draws, the most it can take, so
-memory grows with count, not with the number of draws.
+memory grows with count, not with the number of draws. The train/val split
+is a function of (count, seed) alone: each Dataset derives it, and the
+sidecar does not store it.
 """
 
 from __future__ import annotations
@@ -49,8 +51,11 @@ class Dataset:
     seed: int
     feasible_fraction: float
     balance_warning: bool
-    train_indices: np.ndarray = field(repr=False)
-    val_indices: np.ndarray = field(repr=False)
+    train_indices: np.ndarray = field(init=False, repr=False)
+    val_indices: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.train_indices, self.val_indices = _split_indices(len(self), self.seed)
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -128,7 +133,6 @@ def generate_dataset(lp: LinearProgram, encoding: Encoding, count: int, bbox=Non
     feasible = np.concatenate(classes)
     picks = [np.flatnonzero(feasible)[:take_feas], np.flatnonzero(~feasible)[:count - take_feas]]
     X = np.concatenate(draws)[np.sort(np.concatenate(picks))]
-    train_idx, val_idx = _split_indices(count, seed)
     return Dataset(
         X=X,
         y=encoding.values(X),
@@ -139,8 +143,6 @@ def generate_dataset(lp: LinearProgram, encoding: Encoding, count: int, bbox=Non
         seed=seed,
         feasible_fraction=take_feas / count if count else 0.0,
         balance_warning=n_feas < want_feas or n_infeas < want_infeas,
-        train_indices=train_idx,
-        val_indices=val_idx,
     )
 
 
@@ -171,8 +173,6 @@ def save_dataset(ds: Dataset, csv_path) -> None:
         "count": len(ds),
         "feasible_fraction": format_float(ds.feasible_fraction),
         "balance_warning": ds.balance_warning,
-        "train_indices": ds.train_indices.tolist(),
-        "val_indices": ds.val_indices.tolist(),
     }
     with open(f"{csv_path}.meta.json", "w", encoding="utf-8") as fh:
         fh.write(canonical_json(meta) + "\n")
@@ -197,10 +197,8 @@ def _read_dataset(csv_path: str) -> Dataset:
             raise ValueError(f"the table is not one block of rows of {n + 1} finite numbers")
     with open(csv_path + ".meta.json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    split = meta["train_indices"] + meta["val_indices"]  # JSON integers that partition the rows
-    if (meta["count"] != len(data) or set(map(type, split)) - {int}
-            or not np.array_equal(np.sort(split), np.arange(len(data)))):
-        raise ValueError(f"the sidecar's count and split indices do not describe the {len(data)} rows")
+    if meta["count"] != len(data):
+        raise ValueError(f"the sidecar's count {meta['count']!r} does not describe the {len(data)} rows")
     fields_ok = {"seed": type(meta["seed"]) is int, "balance_warning": type(meta["balance_warning"]) is bool,
                  "kind": meta["kind"] in ENCODING_KINDS, "lp_digest": type(meta["lp_digest"]) is str}
     if bad := [name for name, ok in fields_ok.items() if not ok]:
@@ -216,6 +214,4 @@ def _read_dataset(csv_path: str) -> Dataset:
         seed=meta["seed"],
         feasible_fraction=float(meta["feasible_fraction"]),
         balance_warning=meta["balance_warning"],
-        train_indices=np.array(meta["train_indices"], dtype=int),
-        val_indices=np.array(meta["val_indices"], dtype=int),
     )

@@ -19,12 +19,12 @@ class ValidationError(LpattrError):
 
 @contextmanager
 def malformed_file(path, what: str):
-    """Report the KeyError, TypeError, ValueError (JSONDecodeError is one) or
-    ValidationError of reading a malformed input file as a ValidationError
-    naming the file."""
+    """Report the KeyError, TypeError, ValueError (JSONDecodeError is one),
+    OverflowError (a JSON integer too large for a float) or ValidationError
+    of reading a malformed input file as a ValidationError naming the file."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise ValidationError(f"{path} is not a {what}: {exc!r}") from None
 
 

@@ -184,8 +184,6 @@ def save_grid_result(result: GridResult, out_dir, stem: str) -> dict:
         files[csv_name] = sha256_hex(text)
         files[ppm_name] = sha256_hex(ppm_bytes)
     manifest = {
-        "stem": stem,
-        "method": result.method,
         "provenance": result.provenance,
         "channels": sorted(result.channels),
         "files": files,
@@ -208,7 +206,7 @@ def verify_grid_files(out_dir, stem: str) -> dict:
         # str.startswith raises TypeError on a channel name that is no string
         feature_names = sorted((c for c in manifest["channels"] if str.startswith(c, "a")), key=lambda c: int(c[1:]))
         completeness = None
-        if manifest["method"] == "integrated-gradients":
+        if manifest["provenance"]["method"] == "integrated-gradients":
             recorded = manifest["provenance"]["completeness"]
             completeness = recorded["f_baseline"], recorded["max_residual"]
             if not all(type(v) in (int, float) for v in completeness):  # a bool or a numeric string is no number

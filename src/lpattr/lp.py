@@ -354,7 +354,10 @@ def load_lp(path) -> LinearProgram:
     """Read a program written by save_lp; a malformed file raises ValidationError."""
     with open(path, "r", encoding="utf-8") as fh, malformed_file(path, "program file"):
         doc = json.load(fh)
-        lp = LinearProgram(*(np.array(doc[key], dtype=float) for key in ("c", "A", "b")))
+        cells = [np.array(doc[key], dtype=object) for key in ("c", "A", "b")]
+        if any(set(map(type, a.ravel())) - {int, float} for a in cells):  # a bool or a numeric string is no number
+            raise TypeError("c, A and b must hold JSON numbers only")
+        lp = LinearProgram(*(a.astype(float) for a in cells))
     if lp.n != doc.get("n", lp.n) or lp.m != doc.get("m", lp.m):
         raise ValidationError("declared n/m do not match the array shapes")
     return lp

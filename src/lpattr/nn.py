@@ -40,6 +40,7 @@ import math
 import os
 import threading
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -72,10 +73,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("depth", "hidden_width", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in ("depth", "hidden_width", "epochs", "batch_size", "seed", "learning_rate", "momentum"):
+            value, whole = getattr(self, name), name not in ("learning_rate", "momentum")
+            if not isinstance(value, Integral if whole else Real) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
         if self.depth < 2:
             raise ConfigurationError("depth must be >= 2 (at least one hidden layer)")
         if self.hidden_width < 1:
@@ -382,25 +383,19 @@ def train_model(dataset: Dataset, config: ModelConfig) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    """Byte-stable container: magic, one JSON header line, then raw
-    little-endian float64 array data in header order."""
-    arrays = []
-    for i, W in enumerate(model.weights):
-        arrays.append((f"W{i}", W))
-    for i, b in enumerate(model.biases):
-        arrays.append((f"b{i}", b))
-    arrays.append(("bbox", model.bbox))
+    """Byte-stable container: magic, one JSON header line, then the raw
+    little-endian float64 arrays W0.., b0.., bbox, whose shapes follow from
+    the header's input_dim and config; the file ends with the last array."""
     header = {
         "config": asdict(model.config),
         "input_dim": model.input_dim,
         "training_summary": model.training_summary,
-        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
     }
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(canonical_json(header).encode("utf-8"))
         fh.write(b"\n")
-        for _, a in arrays:
+        for a in [*model.weights, *model.biases, model.bbox]:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
@@ -414,22 +409,21 @@ def load_model(path) -> Model:
             raise ValueError("input_dim is not an integer or training_summary is not a JSON object")
         config = ModelConfig(**header["config"])
         sizes = _layer_sizes(header["input_dim"], config)
-        shapes = {f"W{i}": (sizes[i + 1], sizes[i]) for i in range(config.depth)}
-        shapes.update({f"b{i}": (sizes[i + 1],) for i in range(config.depth)}, bbox=(sizes[0], 2))
-        # shapes are checked before any read, so a damaged one asks for no bytes
-        if {spec["name"]: tuple(spec["shape"]) for spec in header["arrays"]} != shapes:
-            raise ValueError(f"array shapes do not fit input_dim {sizes[0]} and the config's layers {sizes}")
-        data = {}
-        for spec in header["arrays"]:
-            buf = fh.read(8 * math.prod(spec["shape"]))
-            data[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(spec["shape"]).copy()
-        if not all(np.isfinite(a).all() for a in data.values()):
+        shapes = [(k, j) for j, k in zip(sizes, sizes[1:])] + [(k,) for k in sizes[1:]] + [(sizes[0], 2)]
+        counts = [math.prod(shape) for shape in shapes]
+        raw = fh.read()  # the arrays W0.., b0.., bbox, and nothing after them
+        if len(raw) != 8 * sum(counts):
+            raise ValueError(f"{len(raw)} bytes follow the header; input_dim {sizes[0]} and the config's "
+                             f"layers {sizes} take {8 * sum(counts)}")
+        flat = np.split(np.frombuffer(raw, dtype="<f8"), np.cumsum(counts)[:-1])
+        arrays = [a.reshape(shape).copy() for a, shape in zip(flat, shapes)]
+        if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError("an array holds a non-finite number")
         return Model(
-            weights=[data[f"W{i}"] for i in range(config.depth)],
-            biases=[data[f"b{i}"] for i in range(config.depth)],
+            weights=arrays[: config.depth],
+            biases=arrays[config.depth : -1],
             config=config,
             input_dim=header["input_dim"],
-            bbox=check_bbox(data["bbox"], sizes[0]),
+            bbox=check_bbox(arrays[-1], sizes[0]),
             training_summary=header["training_summary"],
         )

@@ -6,14 +6,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
+
+
+def _sequence(seed: int, key) -> np.random.SeedSequence:
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=key)
+
 
 def rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    return np.random.Generator(np.random.PCG64(_sequence(seed, key)))
 
 
 def sub_seed(seed: int, *key: int) -> int:
     """An int seed for a config that builds its own streams, e.g. one per grid cell."""
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+    return int(_sequence(seed, key).generate_state(1)[0])
 
 
 def sample_box(bbox: np.ndarray, count: int, gen: np.random.Generator, shrink: float = 0.0) -> np.ndarray:

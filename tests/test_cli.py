@@ -308,7 +308,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [
         '{"n": 2, "m": 1, "c": [1, 1], "A": [[1, 1]], "b": [',
         '{"n": 2, "m": 1, "c": [1, 1], "b": [1]}',
-    ], ids=["truncated-json", "missing-A"])
+        '{"n": 2, "m": 2, "c": ["1", true], "A": [[1, 0], [0, 1]], "b": [1, 1]}',
+        '{"n": 2, "m": 2, "c": [1, 1], "A": [["1", 0], [0, true]], "b": [1, 1]}',
+        '{"n": 2, "m": 1, "c": [1, 1], "A": [[1, 1]], "b": [1' + "0" * 400 + ']}',
+    ], ids=["truncated-json", "missing-A", "string-and-bool-in-c", "string-and-bool-in-A", "integer-past-float"])
     def test_malformed_program_file_exits_2(self, tmp_path, text):
         (tmp_path / "bad.json").write_text(text)
         r = run_cli(["props", "--lp", "bad.json"], tmp_path)
@@ -317,16 +320,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("split_edit", [
         None,
-        lambda meta: meta["train_indices"].__setitem__(0, 999),
-        lambda meta: meta["val_indices"].append(meta["train_indices"][0]),
         lambda meta: meta["bbox"].__setitem__(0, ["1", "1"]),
         lambda meta: meta["bbox"].__setitem__(0, ["0", "nan"]),
         lambda meta: meta.__setitem__("seed", [1, "x"]),
         lambda meta: meta.__setitem__("balance_warning", "no"),
         lambda meta: meta.__setitem__("kind", 7),
         lambda meta: meta.__setitem__("lp_digest", 5),
-    ], ids=["non-numeric", "index-out-of-range", "index-in-both-splits", "bbox-degenerate", "bbox-nan",
-            "seed-list", "balance-warning-string", "kind-int", "lp-digest-int"])
+        lambda meta: meta.__setitem__("seed", -1),
+    ], ids=["non-numeric", "bbox-degenerate", "bbox-nan", "seed-list", "balance-warning-string", "kind-int",
+            "lp-digest-int", "seed-negative"])
     def test_malformed_dataset_file_exits_2(self, tmp_path, split_edit):
         r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "40", "--out", "files"], tmp_path)
         assert r.returncode == 0, r.stderr
@@ -344,9 +346,9 @@ class TestExitCodes:
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "not a dataset file" in r.stderr
 
-    @pytest.mark.parametrize("keep, depth, changes, header_edit", [
-        (200, 2, {}, None),
-        (-8, 2, {}, None),
+    @pytest.mark.parametrize("file_edit, depth, changes, header_edit", [
+        (lambda data: data[:200], 2, {}, None),
+        (lambda data: data[:-8], 2, {}, None),
         (None, 2, {"input_dim": 3}, None),
         (None, 3, {"config": ModelConfig(depth=2, hidden_width=4)}, None),
         (None, 2, {"bbox": np.tile([0.0, 1.0], (3, 1))}, None),
@@ -358,10 +360,14 @@ class TestExitCodes:
         (None, 2, {}, lambda header: header["config"].__setitem__("hidden_width", 4.0)),
         (None, 2, {}, lambda header: header.__setitem__("training_summary", [1])),
         (None, 2, {}, lambda header: header.__setitem__("input_dim", 2.0)),
+        (None, 2, {}, lambda header: header["config"].__setitem__("learning_rate", True)),
+        (None, 2, {}, lambda header: header["config"].__setitem__("momentum", False)),
+        (lambda data: data + bytes(24), 2, {}, None),
     ], ids=["truncated-header", "short-array", "input-dim-mismatch", "depth-mismatch", "bbox-shape",
             "bbox-degenerate", "nan-weight", "seed-string", "epochs-fraction", "batch-size-bool",
-            "width-float", "summary-list", "input-dim-float"])
-    def test_malformed_model_file_exits_2(self, tmp_path, keep, depth, changes, header_edit):
+            "width-float", "summary-list", "input-dim-float", "learning-rate-bool", "momentum-bool",
+            "trailing-bytes"])
+    def test_malformed_model_file_exits_2(self, tmp_path, file_edit, depth, changes, header_edit):
         save_flat_model(tmp_path / "full.model", depth, **changes)
         data = (tmp_path / "full.model").read_bytes()
         if header_edit is not None:
@@ -369,10 +375,23 @@ class TestExitCodes:
             header = json.loads(header)
             header_edit(header)
             data = b"\n".join([magic, json.dumps(header).encode(), arrays])
-        (tmp_path / "bad.model").write_bytes(data[:keep])
+        (tmp_path / "bad.model").write_bytes(file_edit(data) if file_edit else data)
         r = run_cli(["attribute", "--model", "bad.model", "--method", "saliency", "--point", "0.5,0.5"], tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "bad.model is not a model file" in r.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["gen-data", "--encoding", "feasibility", "--count", "40"],
+        ["train", "--data", "files/data-feasibility.csv", "--epochs", "1"],
+        ["grid", "--model", "flat.model", "--method", "lime", "--resolution", "2,2"],
+    ], ids=["gen-data", "train", "grid-lime"])
+    def test_negative_seed_exits_2(self, tmp_path, args):
+        r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "40", "--out", "files"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        save_flat_model(tmp_path / "flat.model")
+        r = run_cli([*args, "--seed", "-1", "--out", "out"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1 and "seed must be >= 0" in r.stderr
 
     @pytest.mark.parametrize("dims", [["--dim-x", "5"], ["--dim-y", "2"], ["--dim-x", "-1"]],
                              ids=["dim-x-5", "dim-y-2", "dim-x-negative"])

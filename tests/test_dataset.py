@@ -155,6 +155,25 @@ def test_non_finite_cell_is_malformed(tmp_path, cell, text):
         load_dataset(path)
 
 
+def test_sidecar_stores_count_and_seed_not_the_split(tmp_path):
+    lp = lp_box()
+    ds = generate_dataset(lp, make_encoding(lp, "boundary-distance"), 100_000, seed=19)
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    sidecar = tmp_path / "ds.csv.meta.json"
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    assert sorted(meta) == ["balance_warning", "bbox", "count", "excluded_vertices", "feasible_fraction",
+                            "kind", "lp_digest", "seed"]
+    assert sidecar.stat().st_size < 1024
+    # a sidecar that also lists the split, as earlier versions wrote it, loads to the same dataset
+    old = dict(meta, train_indices=ds.train_indices.tolist(), val_indices=ds.val_indices.tolist())
+    sidecar.write_text(json.dumps(old), encoding="utf-8")
+    back = load_dataset(path)
+    for name in ("X", "y", "bbox", "train_indices", "val_indices"):
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
+    assert (back.seed, back.kind, back.lp_digest) == (ds.seed, ds.kind, ds.lp_digest)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     lp = lp_box()
     enc = make_encoding(lp, "feasibility")
@@ -218,22 +237,9 @@ def _cell(edit, row=3, col=1):
     return apply
 
 
-def _index_1_as(value):
-    """A sidecar edit that writes the split index 1 as ``value``, which ``== 1`` in Python."""
-    def apply(meta):
-        key = "train_indices" if 1 in meta["train_indices"] else "val_indices"
-        meta[key] = [value if i == 1 else i for i in meta[key]]
-        return meta
-    return apply
-
-
 def _first_rows(k):
     """A sidecar edit that describes only the table's first ``k`` rows."""
-    def apply(meta):
-        for key in ("train_indices", "val_indices"):
-            meta[key] = [i for i in meta[key] if i < k]
-        return dict(meta, count=k)
-    return apply
+    return lambda meta: dict(meta, count=k)
 
 
 # name: (edit of the CSV's lines, edit of the sidecar's dict); None leaves it as saved
@@ -251,8 +257,6 @@ MALFORMED = {
     "non-UTF-8 byte": (_cell(lambda c: c + "\udcff"), None),
     "underscore in a number": (_cell(lambda c: "1_0"), None),
     "separator \\x1c beside a number": (_cell(lambda c: "\x1c" + c), None),
-    "sidecar index true": (None, _index_1_as(True)),
-    "sidecar index 1.0": (None, _index_1_as(1.0)),
 }
 
 

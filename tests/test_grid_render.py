@@ -167,10 +167,15 @@ class TestChannelFiles:
     def test_save_and_verify(self, tmp_path):
         gr = grid_attribution(quad_model(), "lime", small_spec(), seed=2)
         manifest = save_grid_result(gr, tmp_path, "g")
+        assert sorted(manifest) == ["channels", "files", "provenance"]
         assert sorted(manifest["channels"]) == ["a1", "a2", "prediction", "sum"]
         assert len(manifest["files"]) == 8
         report = verify_grid_files(tmp_path, "g")
         assert report["ok"] and report["problems"] == []
+        # a manifest with the top-level stem and method earlier versions wrote verifies the same
+        old = dict(manifest, stem="g", method="lime")
+        (tmp_path / "g_manifest.json").write_text(canonical_json(old) + "\n")
+        assert verify_grid_files(tmp_path, "g") == report
 
     def test_verify_catches_tampering(self, tmp_path):
         gr = grid_attribution(quad_model(), "saliency", small_spec())

@@ -3,6 +3,7 @@ public predict function, so it exercises normalization and the output
 nonlinearity exactly as callers see them."""
 
 import itertools
+import json
 import os
 import sys
 import threading
@@ -147,6 +148,12 @@ def test_config_validation():
         assert getattr(ModelConfig(**{field: np.int64(3)}), field) == 3
         for value in (True, 3.0, "3"):
             with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+                ModelConfig(**{field: value})
+    # the rates take any real number type; a bool, a string or None does not count
+    for field in ("learning_rate", "momentum"):
+        assert getattr(ModelConfig(**{field: np.float32(0.5)}), field) == 0.5
+        for value in (True, False, "0.5", None):
+            with pytest.raises(ConfigurationError, match=f"{field} must be a number"):
                 ModelConfig(**{field: value})
 
 
@@ -500,6 +507,24 @@ def test_model_round_trip(tmp_path):
     np.testing.assert_array_equal(model.input_gradient_many(X), back.input_gradient_many(X))
     assert back.config == model.config
     assert back.training_summary.keys() == model.training_summary.keys()
+
+
+def test_model_file_ends_with_its_last_array_and_loads_an_array_table(tmp_path):
+    model = small_trained()
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    magic, header, arrays = path.read_bytes().split(b"\n", 2)
+    assert sorted(json.loads(header)) == ["config", "input_dim", "training_summary"]
+    stored = [*model.weights, *model.biases, model.bbox]
+    assert arrays == b"".join(a.astype("<f8").tobytes() for a in stored)
+    # a header that also lists the arrays, as earlier versions wrote it, loads to the same model
+    table = [{"name": f"{k}{i}", "shape": list(a.shape)} for k, group in (("W", model.weights), ("b", model.biases))
+             for i, a in enumerate(group)] + [{"name": "bbox", "shape": [2, 2]}]
+    old = dict(json.loads(header), arrays=table)
+    path.write_bytes(b"\n".join([magic, json.dumps(old).encode(), arrays]))
+    back = load_model(path)
+    assert [a.tobytes() for a in [*back.weights, *back.biases, back.bbox]] == [a.tobytes() for a in stored]
+    assert (back.config, back.input_dim, back.training_summary) == (model.config, 2, model.training_summary)
 
 
 def test_train_model_uses_split_and_reports():
