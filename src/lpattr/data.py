@@ -31,11 +31,13 @@ from .errors import CoverageError, ValidationError, malformed_file
 # enumerate_vertices is not called here; lpbench's tracer test asserts this module holds it
 from .lp import LinearProgram, enumerate_vertices, feasible_mask, vertex_bbox  # noqa: F401
 from .seeding import rng
-from .serialize import canonical_json, format_float
+from .serialize import canonical_json, checked, format_float
 
 DRAW_CHUNK = 8192
 DRAW_BUDGET_FACTOR = 50
 VAL_FRACTION = 0.1
+SIDECAR_SHAPE = {"lp_digest": str, "kind": str, "excluded_vertices": (type(None), [[str]]), "bbox": [[str]],
+                 "seed": int, "count": int, "feasible_fraction": str, "balance_warning": bool}
 
 
 @dataclass
@@ -196,13 +198,11 @@ def _read_dataset(csv_path: str) -> Dataset:
         if separators or any(map(str.strip, fh)) or data.shape[1] != n + 1 or not np.isfinite(data).all():
             raise ValueError(f"the table is not one block of rows of {n + 1} finite numbers")
     with open(csv_path + ".meta.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+        meta = checked(json.load(fh), SIDECAR_SHAPE)
     if meta["count"] != len(data):
         raise ValueError(f"the sidecar's count {meta['count']!r} does not describe the {len(data)} rows")
-    fields_ok = {"seed": type(meta["seed"]) is int, "balance_warning": type(meta["balance_warning"]) is bool,
-                 "kind": meta["kind"] in ENCODING_KINDS, "lp_digest": type(meta["lp_digest"]) is str}
-    if bad := [name for name, ok in fields_ok.items() if not ok]:
-        raise ValueError(f"the sidecar's {', '.join(bad)} has a wrong type or value")
+    if meta["kind"] not in ENCODING_KINDS:
+        raise ValueError(f"the sidecar's kind {meta['kind']!r} is no encoding")
     ex = meta["excluded_vertices"]
     return Dataset(
         X=data[:, :n],

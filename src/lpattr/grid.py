@@ -23,9 +23,11 @@ from .attribution import IGConfig, PerturbConfig, attribute_many, method_setting
 from .errors import ConfigurationError, ValidationError, malformed_file
 from .render import render_heatmap
 from .seeding import sub_seed
-from .serialize import canonical_json, digest_of, format_float, sha256_hex
+from .serialize import canonical_json, checked, digest_of, format_float, sha256_hex
 
 DEFAULT_RESOLUTION = (100, 73)
+MANIFEST_SHAPE = {"channels": [str], "files": {str: str}, "provenance": {"method": str}}
+IG_PROVENANCE_SHAPE = {"completeness": {"f_baseline": float, "max_residual": float}}
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,6 @@ class GridResult:
     prediction; every channel has shape (W, H), indexed [x_index, y_index]."""
 
     spec: GridSpec
-    method: str
     channels: dict[str, np.ndarray]
     provenance: dict = field(default_factory=dict)
 
@@ -121,7 +122,7 @@ def grid_attribution(
             "f_baseline": f_baseline,
             "max_residual": completeness_residual(channels["sum"], channels["prediction"], f_baseline),
         }
-    return GridResult(spec=spec, method=method, channels=channels, provenance=prov)
+    return GridResult(spec=spec, channels=channels, provenance=prov)
 
 
 def completeness_residual(sum_channel: np.ndarray, prediction: np.ndarray, f_baseline: float) -> float:
@@ -198,19 +199,19 @@ def verify_grid_files(out_dir, stem: str) -> dict:
     equals the feature channels added in index order, exactly, and an
     integrated-gradients grid's recorded completeness residual equals the one
     its sum and prediction channels give. A missing, unreadable or mis-sized
-    channel is reported as a problem; only a malformed manifest raises."""
+    channel is reported as a problem; only a malformed manifest raises, and
+    one whose files do not name each channel's CSV and PPM is malformed."""
     manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh, malformed_file(manifest_path, "grid manifest"):
-        manifest = json.load(fh)
-        files = dict(manifest["files"])
-        # str.startswith raises TypeError on a channel name that is no string
-        feature_names = sorted((c for c in manifest["channels"] if str.startswith(c, "a")), key=lambda c: int(c[1:]))
+        manifest = checked(json.load(fh), MANIFEST_SHAPE)
+        channels, files, provenance = manifest["channels"], manifest["files"], manifest["provenance"]
+        if set(files) != {f"{stem}_{c}.{ext}" for c in channels for ext in ("csv", "ppm")}:
+            raise ValueError("files does not name exactly one CSV and one PPM per channel")
+        feature_names = sorted((c for c in channels if c.startswith("a")), key=lambda c: int(c[1:]))
         completeness = None
-        if manifest["provenance"]["method"] == "integrated-gradients":
-            recorded = manifest["provenance"]["completeness"]
+        if provenance["method"] == "integrated-gradients":
+            recorded = checked(provenance, IG_PROVENANCE_SHAPE, "provenance")["completeness"]
             completeness = recorded["f_baseline"], recorded["max_residual"]
-            if not all(type(v) in (int, float) for v in completeness):  # a bool or a numeric string is no number
-                raise TypeError(f"completeness record {recorded!r} holds a value that is no number")
     problems = []
     for name, want in files.items():
         path = os.path.join(out_dir, name)

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
     malformed_file,
 )
-from .serialize import digest_of, format_float
+from .serialize import checked, digest_of, format_float
 
 # Feasibility tolerance on slacks and nonnegativity (inclusive boundary).
 FEAS_TOL = 1e-9
@@ -47,6 +47,7 @@ VERTEX_DEDUP_TOL = 1e-7
 # Most hyperplane subsets one batched solve takes while looking for a
 # feasible basis to start the vertex walk from.
 SCAN_BATCH = 4096
+PROGRAM_SHAPE = {"n": int, "m": int, "c": [float], "A": [[float]], "b": [float]}
 
 
 @dataclass(frozen=True)
@@ -353,11 +354,8 @@ def save_lp(lp: LinearProgram, path) -> None:
 def load_lp(path) -> LinearProgram:
     """Read a program written by save_lp; a malformed file raises ValidationError."""
     with open(path, "r", encoding="utf-8") as fh, malformed_file(path, "program file"):
-        doc = json.load(fh)
-        cells = [np.array(doc[key], dtype=object) for key in ("c", "A", "b")]
-        if any(set(map(type, a.ravel())) - {int, float} for a in cells):  # a bool or a numeric string is no number
-            raise TypeError("c, A and b must hold JSON numbers only")
-        lp = LinearProgram(*(a.astype(float) for a in cells))
-    if lp.n != doc.get("n", lp.n) or lp.m != doc.get("m", lp.m):
+        doc = checked(json.load(fh), PROGRAM_SHAPE)
+        lp = LinearProgram(doc["c"], doc["A"], doc["b"])
+    if lp.n != doc["n"] or lp.m != doc["m"]:
         raise ValidationError("declared n/m do not match the array shapes")
     return lp

@@ -41,6 +41,7 @@ import os
 import threading
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
+from typing import get_type_hints
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .data import Dataset, check_bbox
 from .errors import ConfigurationError, TrainingDivergenceError, ValidationError, malformed_file
 from .lp import as_point, as_points
 from .seeding import rng
-from .serialize import canonical_json
+from .serialize import canonical_json, checked
 
 ACTIVATIONS = ("smooth-softplus", "tanh", "piecewise-linear")
 LOSSES = ("squared-error", "logistic")
@@ -399,14 +400,15 @@ def save_model(model: Model, path) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+HEADER_SHAPE = {"config": get_type_hints(ModelConfig), "input_dim": int, "training_summary": {str: float}}
+
+
 def load_model(path) -> Model:
     """Read a model written by save_model; a malformed file raises ValidationError."""
     with open(path, "rb") as fh, malformed_file(path, "model file"):
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValidationError(f"{path} is not a model file")
-        header = json.loads(fh.readline().decode("utf-8"))
-        if type(header["input_dim"]) is not int or not isinstance(header["training_summary"], dict):
-            raise ValueError("input_dim is not an integer or training_summary is not a JSON object")
+        header = checked(json.loads(fh.readline().decode("utf-8")), HEADER_SHAPE)
         config = ModelConfig(**header["config"])
         sizes = _layer_sizes(header["input_dim"], config)
         shapes = [(k, j) for j, k in zip(sizes, sizes[1:])] + [(k,) for k in sizes[1:]] + [(sizes[0], 2)]

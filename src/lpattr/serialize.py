@@ -1,9 +1,10 @@
-"""Deterministic text serialization helpers.
+"""Deterministic text serialization helpers and the one shape check of JSON headers.
 
 CSV floats go through :func:`format_float` (17 significant digits) and JSON
 writes Python's shortest round-trip repr; both are exact for float64, so
-files regenerate byte-identically from identical inputs. numpy arrays and
-scalars reach JSON through one ``default=`` hook, :func:`plain`.
+files regenerate byte-identically from identical inputs. JSON holds a number
+as text in one place only: the dataset sidecar's format_float strings. numpy
+arrays and scalars reach JSON through one ``default=`` hook, :func:`plain`.
 """
 
 from __future__ import annotations
@@ -34,3 +35,21 @@ def sha256_hex(data) -> str:
 
 def digest_of(obj) -> str:
     return sha256_hex(canonical_json(obj))
+
+
+def checked(value, shape, field: str = ""):
+    """``value`` once it has ``shape``, else a TypeError naming the field (a KeyError for a missing one).
+    A shape is a type, ``[shape]`` for a list, ``{field: shape}`` for an object whose other fields are
+    ignored, ``{str: shape}`` for one of any keys, or a tuple of alternatives of different kinds.
+    ``float`` also takes an int; a bool is neither."""
+    alternatives = shape if isinstance(shape, tuple) else (shape,)
+    shape = next((s for s in alternatives if type(value) in (s, type(s)) or (s, type(value)) == (float, int)), None)
+    if shape is None:
+        raise TypeError(f"{field or 'the document'} may not be {type(value).__name__}")
+    if isinstance(shape, list):
+        for i, item in enumerate(value):
+            checked(item, shape[0], f"{field}[{i}]")
+    elif isinstance(shape, dict):
+        for name, sub in (dict.fromkeys(value, shape[str]) if str in shape else shape).items():
+            checked(value[name], sub, f"{field}.{name}" if field else name)
+    return value

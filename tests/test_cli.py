@@ -311,7 +311,9 @@ class TestExitCodes:
         '{"n": 2, "m": 2, "c": ["1", true], "A": [[1, 0], [0, 1]], "b": [1, 1]}',
         '{"n": 2, "m": 2, "c": [1, 1], "A": [["1", 0], [0, true]], "b": [1, 1]}',
         '{"n": 2, "m": 1, "c": [1, 1], "A": [[1, 1]], "b": [1' + "0" * 400 + ']}',
-    ], ids=["truncated-json", "missing-A", "string-and-bool-in-c", "string-and-bool-in-A", "integer-past-float"])
+        '{"n": 2, "m": 1.0, "c": [1, 1], "A": [[1, 1]], "b": [1]}',
+    ], ids=["truncated-json", "missing-A", "string-and-bool-in-c", "string-and-bool-in-A", "integer-past-float",
+            "m-float"])
     def test_malformed_program_file_exits_2(self, tmp_path, text):
         (tmp_path / "bad.json").write_text(text)
         r = run_cli(["props", "--lp", "bad.json"], tmp_path)
@@ -327,8 +329,9 @@ class TestExitCodes:
         lambda meta: meta.__setitem__("kind", 7),
         lambda meta: meta.__setitem__("lp_digest", 5),
         lambda meta: meta.__setitem__("seed", -1),
+        lambda meta: meta.__setitem__("count", 40.0),
     ], ids=["non-numeric", "bbox-degenerate", "bbox-nan", "seed-list", "balance-warning-string", "kind-int",
-            "lp-digest-int", "seed-negative"])
+            "lp-digest-int", "seed-negative", "count-float"])
     def test_malformed_dataset_file_exits_2(self, tmp_path, split_edit):
         r = run_cli(["gen-data", "--encoding", "feasibility", "--count", "40", "--out", "files"], tmp_path)
         assert r.returncode == 0, r.stderr
@@ -363,10 +366,11 @@ class TestExitCodes:
         (None, 2, {}, lambda header: header["config"].__setitem__("learning_rate", True)),
         (None, 2, {}, lambda header: header["config"].__setitem__("momentum", False)),
         (lambda data: data + bytes(24), 2, {}, None),
+        (None, 2, {}, lambda header: header["config"].pop("activation")),
     ], ids=["truncated-header", "short-array", "input-dim-mismatch", "depth-mismatch", "bbox-shape",
             "bbox-degenerate", "nan-weight", "seed-string", "epochs-fraction", "batch-size-bool",
             "width-float", "summary-list", "input-dim-float", "learning-rate-bool", "momentum-bool",
-            "trailing-bytes"])
+            "trailing-bytes", "activation-missing"])
     def test_malformed_model_file_exits_2(self, tmp_path, file_edit, depth, changes, header_edit):
         save_flat_model(tmp_path / "full.model", depth, **changes)
         data = (tmp_path / "full.model").read_bytes()
@@ -461,7 +465,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [
         "{}", '{"files": {}}', '{"files": ', '{"files": {}, "channels": ["abs", "sum"]}',
         '{"files": {}, "channels": "a1"}', '{"files": {}, "channels": [1]}',
-    ], ids=["empty", "no-channels", "truncated", "unnumbered-channel", "channels-string", "channel-number"])
+        '{"files": {"x_a1.csv": "0", "x_sum.csv": "0"}, "channels": ["a1", "sum"], '
+        '"provenance": {"method": "saliency"}}',
+        '{"files": {"x_abs.csv": "0", "x_abs.ppm": "0", "x_sum.csv": "0", "x_sum.ppm": "0"}, '
+        '"channels": ["abs", "sum"], "provenance": {"method": "saliency"}}',
+    ], ids=["empty", "no-channels", "truncated", "unnumbered-channel", "channels-string", "channel-number",
+            "files-without-ppm", "unnumbered-channel-listed"])
     def test_malformed_grid_manifest_exits_2(self, tmp_path, text):
         (tmp_path / "d").mkdir()
         (tmp_path / "d" / "x_manifest.json").write_text(text)

@@ -6,17 +6,30 @@ deleted lines, and read back through in-process ``cli.main`` by the
 cheapest command that reads it. Whatever the damage, the command must
 return 0, 2, 3 or 4, raise nothing, and print exactly one ``error:`` line
 when it fails. Seeds and counts are fixed, so a failure replays.
+
+The four JSON headers (program, dataset sidecar, model header, grid
+manifest) are also damaged exhaustively: every value in them, at any
+depth, is swapped for a value of each other JSON kind, and each such file
+must exit 2 with one ``error:`` line. README's "File formats" section must
+name every field of the shape tables those headers are checked against.
 """
 
+import copy
+import json
 import re
 import shutil
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lpattr import cli
+from lpattr.data import SIDECAR_SHAPE
 from lpattr.fixtures import lp_box
-from lpattr.lp import save_lp
+from lpattr.grid import IG_PROVENANCE_SHAPE, MANIFEST_SHAPE
+from lpattr.lp import PROGRAM_SHAPE, save_lp
+from lpattr.nn import HEADER_SHAPE
 
 MUTATIONS = 200  # per file kind
 TOKENS = (b"nan", b"1e999", b"-", b"")
@@ -106,3 +119,65 @@ def test_malformed_completeness_record_exits_2(field, originals, tmp_path, capsy
         code = cli.main(["verify", "--dir", str(d), "--out", str(tmp_path / "out")])
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert code == 2 and len(errors) == 1, bad
+
+
+# one value of each JSON kind: number, string, bool, null, array, object
+KIND_SAMPLES = (7, "x", True, None, [True], {"x": True})
+JSON_KINDS = {int: "number", float: "number", str: "string", bool: "bool", type(None): "null", list: "array",
+              dict: "object"}
+# the provenance fields verify does not read: the grid seed, spec and settings digest
+UNREAD = {("provenance", "seed"), ("provenance", "spec"), ("provenance", "config_digest")}
+# kind -> swaps its header takes, so a walk that misses values fails
+SWAP_CASES = {"program": 75, "sidecar": 70, "model": 70, "ig-manifest": 95}
+
+
+def json_values(doc, path=()):
+    """(key path, value) of every value inside ``doc``, array elements included, outside UNREAD."""
+    items = doc.items() if type(doc) is dict else enumerate(doc) if type(doc) is list else ()
+    for key, value in items:
+        if path + (key,) not in UNREAD:
+            yield path + (key,), value
+            yield from json_values(value, path + (key,))
+
+
+@pytest.mark.parametrize("kind", SWAP_CASES)
+def test_type_swapped_fields_exit_2(kind, originals, tmp_path, capsys):
+    (name,), argv = KINDS[kind]
+    d = tmp_path / "in"
+    shutil.copytree(originals, d)
+    argv = [a.format(d=d) for a in argv] + ["--out", str(tmp_path / "out")]
+    data = (originals / name).read_bytes()
+    # a model file is a magic line, the header line and the arrays; the other files are the header alone
+    magic, header, arrays = data.split(b"\n", 2) if kind == "model" else (None, data, None)
+    doc = json.loads(header)
+    cases = 0
+    for path, value in json_values(doc):
+        for sample in KIND_SAMPLES:
+            if JSON_KINDS[type(sample)] == JSON_KINDS[type(value)]:
+                continue
+            bad = copy.deepcopy(doc)
+            reduce(lambda node, key: node[key], path[:-1], bad)[path[-1]] = sample
+            text = json.dumps(bad).encode()
+            (d / name).write_bytes(b"\n".join([magic, text, arrays]) if magic else text)
+            capsys.readouterr()
+            code = cli.main(argv)
+            errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+            assert code == 2 and len(errors) == 1, f"{'.'.join(map(str, path))} = {sample!r}: exit {code}"
+            cases += 1
+    assert cases == SWAP_CASES[kind]
+
+
+def shape_fields(shape) -> set:
+    """Every field name a shape table names, at any depth."""
+    if isinstance(shape, dict):
+        return {name for name in shape if name is not str} | set().union(*map(shape_fields, shape.values()))
+    return set().union(*map(shape_fields, shape)) if isinstance(shape, (list, tuple)) else set()
+
+
+def test_readme_file_formats_name_every_header_field():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## File formats\n")[1].split("\n## ")[0]
+    tables = (PROGRAM_SHAPE, SIDECAR_SHAPE, HEADER_SHAPE, MANIFEST_SHAPE, IG_PROVENANCE_SHAPE)
+    fields = set().union(*map(shape_fields, tables))
+    assert len(fields) > 20
+    assert sorted(name for name in fields if f"`{name}`" not in section) == []

@@ -177,6 +177,16 @@ class TestChannelFiles:
         (tmp_path / "g_manifest.json").write_text(canonical_json(old) + "\n")
         assert verify_grid_files(tmp_path, "g") == report
 
+    def test_manifest_files_must_cover_every_channel(self, tmp_path):
+        # a manifest that drops the PPMs along with the files names less than its channels
+        manifest = save_grid_result(grid_attribution(quad_model(), "saliency", small_spec()), tmp_path, "g")
+        for name in [n for n in manifest["files"] if n.endswith(".ppm")]:
+            del manifest["files"][name]
+            (tmp_path / name).unlink()
+        (tmp_path / "g_manifest.json").write_text(canonical_json(manifest) + "\n")
+        with pytest.raises(ValidationError, match="g_manifest.json is not a grid manifest"):
+            verify_grid_files(tmp_path, "g")
+
     def test_verify_catches_tampering(self, tmp_path):
         gr = grid_attribution(quad_model(), "saliency", small_spec())
         save_grid_result(gr, tmp_path, "g")
