@@ -20,9 +20,7 @@ sidecar does not store it.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
-from itertools import chain, takewhile
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from .errors import CoverageError, ValidationError, malformed_file
 # enumerate_vertices is not called here; lpbench's tracer test asserts this module holds it
 from .lp import LinearProgram, enumerate_vertices, feasible_mask, vertex_bbox  # noqa: F401
 from .seeding import rng
-from .serialize import canonical_json, checked, format_float
+from .serialize import canonical_json, checked, format_float, read_table
 
 DRAW_CHUNK = 8192
 DRAW_BUDGET_FACTOR = 50
@@ -158,11 +156,16 @@ def label_residual(ds: Dataset, lp: LinearProgram) -> float:
     return float(np.abs(enc.values(ds.X) - ds.y).max())
 
 
+def _record(columns: int) -> np.dtype:
+    """One CSV row of ``columns`` numbers, its fields named as the header names them: x1..xn,y."""
+    return np.dtype([(f"x{i}", np.float64) for i in range(1, columns)] + [("y", np.float64)])
+
+
 def save_dataset(ds: Dataset, csv_path) -> None:
     """CSV with header x1..xn,y, each cell at 17 significant digits as format_float
     writes it ("%.17g"), plus a metadata sidecar at ``<csv_path>.meta.json``."""
-    header = ",".join([f"x{i + 1}" for i in range(ds.n)] + ["y"])
     with open(csv_path, "w", encoding="utf-8") as fh:
+        header = ",".join(_record(ds.n + 1).names)
         np.savetxt(fh, np.column_stack([ds.X, ds.y]), fmt="%.17g", delimiter=",", header=header, comments="")
     meta = {
         "lp_digest": ds.lp_digest,
@@ -183,35 +186,27 @@ def save_dataset(ds: Dataset, csv_path) -> None:
 def load_dataset(csv_path) -> Dataset:
     """Read a dataset written by save_dataset; a malformed CSV or sidecar raises ValidationError."""
     with malformed_file(csv_path, "dataset file"):
-        return _read_dataset(str(csv_path))
-
-
-def _read_dataset(csv_path: str) -> Dataset:
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        # float() refuses \x1c-\x1f beside a number, where loadtxt strips them as whitespace
-        separators = any(map(re.compile("[\x1c-\x1f]").search, iter(lambda: fh.read(1 << 16), "")))
-        fh.seek(0)
-        n = next(filter(str.strip, fh), "").count(",")  # the header, after any blank lines
-        rows = takewhile(str.strip, fh)  # the table ends at its first blank line
-        first = next(rows, None)  # loadtxt warns on a table with no rows
-        data = np.loadtxt(chain([first], rows), delimiter=",", comments=None, ndmin=2) if first else np.empty((0, n + 1))
-        if separators or any(map(str.strip, fh)) or data.shape[1] != n + 1 or not np.isfinite(data).all():
-            raise ValueError(f"the table is not one block of rows of {n + 1} finite numbers")
-    with open(csv_path + ".meta.json", "r", encoding="utf-8") as fh:
-        meta = checked(json.load(fh), SIDECAR_SHAPE)
-    if meta["count"] != len(data):
-        raise ValueError(f"the sidecar's count {meta['count']!r} does not describe the {len(data)} rows")
-    if meta["kind"] not in ENCODING_KINDS:
-        raise ValueError(f"the sidecar's kind {meta['kind']!r} is no encoding")
-    ex = meta["excluded_vertices"]
-    return Dataset(
-        X=data[:, :n],
-        y=data[:, n],
-        lp_digest=meta["lp_digest"],
-        kind=meta["kind"],
-        excluded_vertices=None if ex is None else np.array([[float(v) for v in row] for row in ex]),
-        bbox=check_bbox([[float(lo), float(hi)] for lo, hi in meta["bbox"]], n),
-        seed=meta["seed"],
-        feasible_fraction=float(meta["feasible_fraction"]),
-        balance_warning=meta["balance_warning"],
-    )
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            table = read_table(fh, _record)
+        data = table.view(np.float64).reshape(-1, len(table.dtype.names))  # the records' fields as columns
+        n = data.shape[1] - 1
+        if not np.isfinite(data).all():
+            raise ValueError("a cell is not a finite number")
+        with open(f"{csv_path}.meta.json", "r", encoding="utf-8") as fh:
+            meta = checked(json.load(fh), SIDECAR_SHAPE)
+        if meta["count"] != len(data):
+            raise ValueError(f"the sidecar's count {meta['count']!r} does not describe the {len(data)} rows")
+        if meta["kind"] not in ENCODING_KINDS:
+            raise ValueError(f"the sidecar's kind {meta['kind']!r} is no encoding")
+        ex = meta["excluded_vertices"]
+        return Dataset(
+            X=data[:, :n],
+            y=data[:, n],
+            lp_digest=meta["lp_digest"],
+            kind=meta["kind"],
+            excluded_vertices=None if ex is None else np.array([[float(v) for v in row] for row in ex]),
+            bbox=check_bbox([[float(lo), float(hi)] for lo, hi in meta["bbox"]], n),
+            seed=meta["seed"],
+            feasible_fraction=float(meta["feasible_fraction"]),
+            balance_warning=meta["balance_warning"],
+        )

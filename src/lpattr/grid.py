@@ -6,7 +6,8 @@ center. The result carries one channel per feature, the exact elementwise
 sum of the feature channels, and the model's raw prediction channel. An
 integrated-gradients grid also records F(baseline) and its worst
 completeness residual, which verify_grid_files recomputes from the saved
-sum and prediction channels.
+sum and prediction channels. A channel file lists its cells in row-major
+order, and reads back under the one CSV table rule, serialize.read_table.
 Randomized methods get one independent seed stream per cell, so results do
 not depend on evaluation order.
 """
@@ -19,15 +20,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attribution import IGConfig, PerturbConfig, attribute_many, method_settings
+from .attribution import METHOD_TAGS, IGConfig, PerturbConfig, attribute_many, method_settings
 from .errors import ConfigurationError, ValidationError, malformed_file
 from .render import render_heatmap
 from .seeding import sub_seed
-from .serialize import canonical_json, checked, digest_of, format_float, sha256_hex
+from .serialize import canonical_json, checked, digest_of, format_float, read_table, sha256_hex
 
 DEFAULT_RESOLUTION = (100, 73)
 MANIFEST_SHAPE = {"channels": [str], "files": {str: str}, "provenance": {"method": str}}
 IG_PROVENANCE_SHAPE = {"completeness": {"f_baseline": float, "max_residual": float}}
+CHANNEL_RECORD = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])  # header row,col,value
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,8 @@ def grid_attribution(
     perturb_cfg: PerturbConfig | None = None,
 ) -> GridResult:
     """Evaluate one attribution method at every cell center."""
+    if method not in METHOD_TAGS:  # verify_grid_files refuses a manifest of any other method
+        raise ConfigurationError(f"a grid takes one of {METHOD_TAGS}, not {method!r}")
     if model.input_dim != spec.n:
         raise ValidationError(
             f"model expects {model.input_dim} features, grid supplies {spec.n}"
@@ -134,10 +138,10 @@ def completeness_residual(sum_channel: np.ndarray, prediction: np.ndarray, f_bas
 
 
 def channel_csv_text(channel: np.ndarray) -> str:
-    """`row,col,value` lines; row r, col c hold channel[c, r] so the column
-    index walks the x axis."""
+    """`row,col,value` lines in row-major order; row r, col c hold channel[c, r]
+    so the column index walks the x axis."""
     w, h = channel.shape
-    lines = ["row,col,value"]
+    lines = [",".join(CHANNEL_RECORD.names)]
     for r in range(h):
         for c in range(w):
             lines.append(f"{r},{c},{format_float(channel[c, r])}")
@@ -145,23 +149,15 @@ def channel_csv_text(channel: np.ndarray) -> str:
 
 
 def load_channel_csv(path) -> np.ndarray:
-    """Read a channel written by channel_csv_text; a malformed CSV raises ValidationError."""
-    # bytes that are not UTF-8, an empty table, a short row, a non-number, a bad cell
+    """Read a channel written by channel_csv_text: each cell once, in its row-major order.
+    A malformed CSV raises ValidationError; values may be any float, NaN and infinities included."""
     with open(path, "r", encoding="utf-8") as fh, malformed_file(path, "channel CSV"):
-        lines = fh.read().strip().split("\n")
-        cells = [(int(r), int(c), float(v)) for r, c, v in (line.split(",") for line in lines[1:])]
-        rows = max(r for r, _, _ in cells) + 1
-        cols = max(c for _, c, _ in cells) + 1
-        if min(min(r, c) for r, c, _ in cells) < 0:
-            raise ValueError("negative row or col")
-        if len({(r, c) for r, c, _ in cells}) < len(cells):
-            raise ValueError("a cell is listed twice")
-        if len(cells) != rows * cols:  # no repeats, so every cell is present
-            raise ValueError(f"{len(cells)} cells listed for a {rows}x{cols} table")
-    out = np.zeros((cols, rows))
-    for r, c, v in cells:
-        out[c, r] = v
-    return out
+        cells = read_table(fh, lambda columns: CHANNEL_RECORD)
+        w = int(cells["col"][-1]) + 1 if len(cells) else 0  # a row-major table ends at its last column
+        row, col = np.divmod(np.arange(len(cells)), max(w, 1))
+        if w < 1 or not (np.array_equal(cells["row"], row) and np.array_equal(cells["col"], col)):
+            raise ValueError("the cells are not whole rows of (row, col) in row-major order")
+    return np.ascontiguousarray(cells["value"].reshape(-1, w).T)
 
 
 def image_rows(channel: np.ndarray) -> np.ndarray:
@@ -199,14 +195,16 @@ def verify_grid_files(out_dir, stem: str) -> dict:
     equals the feature channels added in index order, exactly, and an
     integrated-gradients grid's recorded completeness residual equals the one
     its sum and prediction channels give. A missing, unreadable or mis-sized
-    channel is reported as a problem; only a malformed manifest raises, and
-    one whose files do not name each channel's CSV and PPM is malformed."""
+    channel is reported as a problem; only a malformed manifest raises, and one whose
+    files do not name each channel's CSV and PPM, or whose method is no tag, is malformed."""
     manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh, malformed_file(manifest_path, "grid manifest"):
         manifest = checked(json.load(fh), MANIFEST_SHAPE)
         channels, files, provenance = manifest["channels"], manifest["files"], manifest["provenance"]
         if set(files) != {f"{stem}_{c}.{ext}" for c in channels for ext in ("csv", "ppm")}:
             raise ValueError("files does not name exactly one CSV and one PPM per channel")
+        if provenance["method"] not in METHOD_TAGS:
+            raise ValueError(f"provenance.method {provenance['method']!r} is no attribution method")
         feature_names = sorted((c for c in channels if c.startswith("a")), key=lambda c: int(c[1:]))
         completeness = None
         if provenance["method"] == "integrated-gradients":

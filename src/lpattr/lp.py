@@ -156,7 +156,10 @@ def _solve_bases(normals: np.ndarray, offsets: np.ndarray, bases: np.ndarray) ->
     slogdet and solve LU-factor the same column-major copy with partial
     pivoting, and solve raises only on an exactly zero pivot, so a sign of 0
     marks the systems a solve of each one alone rejects. The rest go to one
-    batched solve, which factors each exactly as a solve of it alone does."""
+    batched solve, which factors each exactly as a solve of it alone does.
+    No public numpy call factors each system once: solve and inv raise for
+    the whole stack when one system is singular, lstsq refuses a stack and
+    pinv is an SVD; only the private _umath_linalg.solve gufunc gives NaN."""
     M, r = normals[bases], offsets[bases]
     ok = np.linalg.slogdet(M)[0] != 0
     out = np.full(bases.shape, np.nan)

@@ -1,4 +1,4 @@
-"""Deterministic text serialization helpers and the one shape check of JSON headers.
+"""Deterministic text serialization helpers, the one shape check of JSON headers and the one CSV table rule.
 
 CSV floats go through :func:`format_float` (17 significant digits) and JSON
 writes Python's shortest round-trip repr; both are exact for float64, so
@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from itertools import chain, takewhile
+
+import numpy as np
 
 
 def format_float(v: float) -> str:
@@ -53,3 +57,23 @@ def checked(value, shape, field: str = ""):
         for name, sub in (dict.fromkeys(value, shape[str]) if str in shape else shape).items():
             checked(value[name], sub, f"{field}.{name}" if field else name)
     return value
+
+
+def read_table(fh, record) -> np.ndarray:
+    """The rows of an open CSV file as np.loadtxt parses them into ``record(columns)``, a structured dtype whose
+    comma-joined field names are the header the writer writes: the first line that is not blank. The rows follow
+    it as one block, and the file holds no \\x1c-\\x1f, which np.loadtxt strips as whitespace. Else ValueError."""
+    if any(map(re.compile("[\x1c-\x1f]").search, iter(lambda: fh.read(1 << 16), ""))):
+        raise ValueError("the file holds a \\x1c-\\x1f separator character")
+    fh.seek(0)
+    line = next(filter(str.strip, fh), "").rstrip("\n")
+    dtype = record(line.count(",") + 1)
+    if line != ",".join(dtype.names):
+        raise ValueError(f"the header {line!r} is not {','.join(dtype.names)!r}")
+    rows = takewhile(str.strip, fh)  # the table ends at its first blank line; only blank lines may follow
+    first = next(rows, None)  # loadtxt warns on a table with no rows
+    table = np.empty(0, dtype) if first is None else np.loadtxt(chain([first], rows), dtype, delimiter=",",
+                                                                comments=None, ndmin=1)
+    if any(map(str.strip, fh)):
+        raise ValueError("the table is not one block of rows")
+    return table

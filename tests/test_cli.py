@@ -455,9 +455,15 @@ class TestExitCodes:
         "row,col,value\n0,0,1.5\n0,1,2.5\n-1,0,9.0\n",
         "row,col,value\n0,0,1.5\n0,1,2.5\n0,0,9.0\n",
         "row,col,value\n0,0,1.5\n1,1,2.5\n",
-    ], ids=["header-only", "non-numeric", "short-row", "negative-index", "duplicate-cell", "missing-cell"])
+        "row,col,value\n0,0,1_0\n",
+        "row,col,value\n\u0660,0,1\n",
+        "a,b,c\n0,0,1.5\n0,1,2.5\n",
+        "row,col,value\n0,1,2.5\n0,0,1.5\n",
+        "row,col,value\n0,0,1.5\n0,1,2.5\n\x1c\n",
+    ], ids=["header-only", "non-numeric", "short-row", "negative-index", "duplicate-cell", "missing-cell",
+            "digit-separator", "non-ascii-digit", "wrong-header", "out-of-order", "separator-line"])
     def test_malformed_channel_csv_exits_2(self, tmp_path, text):
-        (tmp_path / "x.csv").write_text(text)
+        (tmp_path / "x.csv").write_text(text, encoding="utf-8")
         r = run_cli(["render", "--matrix", "x.csv"], tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "x.csv is not a channel CSV" in r.stderr
@@ -469,8 +475,10 @@ class TestExitCodes:
         '"provenance": {"method": "saliency"}}',
         '{"files": {"x_abs.csv": "0", "x_abs.ppm": "0", "x_sum.csv": "0", "x_sum.ppm": "0"}, '
         '"channels": ["abs", "sum"], "provenance": {"method": "saliency"}}',
+        '{"files": {"x_a1.csv": "0", "x_a1.ppm": "0", "x_sum.csv": "0", "x_sum.ppm": "0"}, '
+        '"channels": ["a1", "sum"], "provenance": {"method": "x"}}',
     ], ids=["empty", "no-channels", "truncated", "unnumbered-channel", "channels-string", "channel-number",
-            "files-without-ppm", "unnumbered-channel-listed"])
+            "files-without-ppm", "unnumbered-channel-listed", "method-not-a-tag"])
     def test_malformed_grid_manifest_exits_2(self, tmp_path, text):
         (tmp_path / "d").mkdir()
         (tmp_path / "d" / "x_manifest.json").write_text(text)

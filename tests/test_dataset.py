@@ -257,6 +257,7 @@ MALFORMED = {
     "non-UTF-8 byte": (_cell(lambda c: c + "\udcff"), None),
     "underscore in a number": (_cell(lambda c: "1_0"), None),
     "separator \\x1c beside a number": (_cell(lambda c: "\x1c" + c), None),
+    "wrong header": (lambda lines: ["a,b,y"] + lines[1:], None),
 }
 
 

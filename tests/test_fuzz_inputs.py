@@ -12,6 +12,11 @@ manifest) are also damaged exhaustively: every value in them, at any
 depth, is swapped for a value of each other JSON kind, and each such file
 must exit 2 with one ``error:`` line. README's "File formats" section must
 name every field of the shape tables those headers are checked against.
+
+The channel CSV reader is also run against the per-cell reader it replaced,
+kept here as ``reference_load_channel``: on seeded mutations of a written
+channel, whatever the reference refuses the reader must refuse, and where
+both load, the arrays must be the same bits.
 """
 
 import copy
@@ -26,10 +31,12 @@ import pytest
 
 from lpattr import cli
 from lpattr.data import SIDECAR_SHAPE
+from lpattr.errors import ValidationError, malformed_file
 from lpattr.fixtures import lp_box
-from lpattr.grid import IG_PROVENANCE_SHAPE, MANIFEST_SHAPE
+from lpattr.grid import IG_PROVENANCE_SHAPE, MANIFEST_SHAPE, channel_csv_text, load_channel_csv
 from lpattr.lp import PROGRAM_SHAPE, save_lp
 from lpattr.nn import HEADER_SHAPE
+from lpattr.serialize import format_float
 
 MUTATIONS = 200  # per file kind
 TOKENS = (b"nan", b"1e999", b"-", b"")
@@ -181,3 +188,80 @@ def test_readme_file_formats_name_every_header_field():
     fields = set().union(*map(shape_fields, tables))
     assert len(fields) > 20
     assert sorted(name for name in fields if f"`{name}`" not in section) == []
+
+
+def reference_channel_csv_text(channel):
+    """The channel CSV as the writer has always built it, one ``format_float`` per cell."""
+    w, h = channel.shape
+    lines = ["row,col,value"]
+    for r in range(h):
+        for c in range(w):
+            lines.append(f"{r},{c},{format_float(channel[c, r])}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_load_channel(path):
+    """The channel reader before the CSV table rule: int() and float() per cell,
+    any first line skipped as the header, the cells in any order."""
+    with open(path, "r", encoding="utf-8") as fh, malformed_file(path, "channel CSV"):
+        lines = fh.read().strip().split("\n")
+        cells = [(int(r), int(c), float(v)) for r, c, v in (line.split(",") for line in lines[1:])]
+        rows = max(r for r, _, _ in cells) + 1
+        cols = max(c for _, c, _ in cells) + 1
+        if min(min(r, c) for r, c, _ in cells) < 0:
+            raise ValueError("negative row or col")
+        if len({(r, c) for r, c, _ in cells}) < len(cells):
+            raise ValueError("a cell is listed twice")
+        if len(cells) != rows * cols:  # no repeats, so every cell is present
+            raise ValueError(f"{len(cells)} cells listed for a {rows}x{cols} table")
+    out = np.zeros((cols, rows))
+    for r, c, v in cells:
+        out[c, r] = v
+    return out
+
+
+# signed zero, the subnormal extremes, the largest double, NaN and the infinities
+SPECIAL = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
+
+
+def planted_channel(w, h, seed):
+    channel = np.random.default_rng(seed).normal(size=(w, h)) * 1e3
+    channel.ravel()[: len(SPECIAL)] = SPECIAL[: w * h]
+    return channel
+
+
+@pytest.mark.parametrize("w, h", [(1, 1), (4, 3), (3, 5), (100, 73)])
+def test_channel_writer_matches_the_per_cell_writer(tmp_path, w, h):
+    channel = planted_channel(w, h, seed=w * h)
+    text = channel_csv_text(channel)
+    assert text == reference_channel_csv_text(channel)
+    (tmp_path / "ch.csv").write_text(text, encoding="utf-8")
+    back = load_channel_csv(tmp_path / "ch.csv")
+    assert back.shape == (w, h) and back.tobytes() == channel.tobytes()
+
+
+def test_channel_reader_refuses_what_the_per_cell_reader_refused(tmp_path):
+    data = channel_csv_text(planted_channel(4, 3, seed=0)).encode()
+    gen = np.random.default_rng([len(KINDS), 1])
+    path = tmp_path / "ch.csv"
+    both = newly_refused = 0
+    for i in range(5 * MUTATIONS):
+        bad = data
+        for _ in range(gen.integers(1, 4)):  # one to three mutations on top of each other
+            bad = mutate(bad, gen) if bad else bad
+        path.write_bytes(bad)
+        loaded = []
+        for reader in (reference_load_channel, load_channel_csv):
+            try:
+                loaded.append(reader(path))
+            except ValidationError:
+                loaded.append(None)
+        old, new = loaded
+        if old is None:
+            assert new is None, f"mutation {i}: {bad!r}"
+        elif new is None:
+            newly_refused += 1  # a damaged header, for one: the reference skipped any first line
+        else:
+            assert old.shape == new.shape and old.tobytes() == new.tobytes(), f"mutation {i}: {bad!r}"
+            both += 1
+    assert both >= 50 and newly_refused >= 5

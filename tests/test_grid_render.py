@@ -132,6 +132,11 @@ class TestGridAttribution:
         with pytest.raises(ValidationError):
             grid_attribution(m, "saliency", small_spec())
 
+    def test_method_must_be_a_manifest_method_tag(self):
+        # the directed variant is no method tag, so verify would refuse its manifest
+        with pytest.raises(ConfigurationError, match="a grid takes one of"):
+            grid_attribution(quad_model(), "directed-feature-permutation", small_spec())
+
     def test_fixed_values_fill_unswept_dims(self):
         m = AnalyticModel(
             fn=lambda X: X[:, 0] + 10.0 * X[:, 2],
